@@ -192,6 +192,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    if args.mark is not None and args.format == "ascii":
+        raise _UsageError("--mark applies only to --format svg")
     obj = _load_any(args.file)
     mark = None
     if args.mark:
@@ -269,7 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="draw a frieze or triangulation")
     p.add_argument("file")
     p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
-    p.add_argument("--mark", default=None, help="vertex triple i,j,k to highlight")
+    p.add_argument("--mark", default=None, help="three distinct vertices i,j,k to highlight (svg only)")
     add_output(p)
     p.set_defaults(func=_cmd_render)
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .core import FriezeMap, PatternGrid, check_glide, scale, to_polygon
-from .propagation import closes_to_negative_identity
+from .propagation import _step, closes_to_negative_identity
 from .scalars import DomainSpec, as_scalar, scalar_to_str
 
 
@@ -106,10 +106,8 @@ def enumerate_friezes(boundary: Sequence, domain: DomainSpec) -> list[FriezeMap]
                 j = i + len(row) - 1  # last filled column
                 if (j - 1) % m > level:
                     break
-                prev, cur = row[-2], row[-1]
-                nxt = (quiddity[(j - 1) % m] * cur - d[j % m] * prev) / d[(j - 1) % m]
-                offset = len(row)
-                if offset == m:
+                nxt = _step(row[-2], row[-1], d, quiddity, j)
+                if len(row) == m:
                     if nxt != 0:
                         return False
                 elif nxt == 0 or nxt not in domain:

@@ -2,15 +2,20 @@
 
 Two consecutive entries of a row, multiplied on the right by the matrix
 ``mu(c, d, e)`` built from one quiddity value and two boundary values,
-yield the next two consecutive entries.  Iterating from the extended seed
-(-d_{i-1}, 0) generates whole rows; one full period of the product
-collapses to -Id exactly when the data closes up into a frieze.
+yield the next two consecutive entries.  That row step is written once,
+in the kernel ``_step``; row building, the closure product, entry
+recovery, the enumeration search and the triangulation labels all run
+through it.  Iterating from the extended seed (-d_{i-1}, 0) generates
+whole rows; one full period of the product collapses to -Id exactly when
+the data closes up into a frieze.  At unit boundary the step is
+Conway-Coxeter's c(v, w+1) = q_w c(v, w) - c(v, w-1).  The tests keep the
+explicit product of ``mu`` matrices as the oracle for the kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import PatternGrid
 from .scalars import as_scalar
@@ -85,6 +90,26 @@ def eta(c, d, e) -> Mat2:
     return Mat2(c / e, -d / e, 1, 0)
 
 
+def _step(x, y, d: Sequence, q: Sequence, k: int):
+    """c(i, k+1) from the window (x, y) = (c(i, k-1), c(i, k)): the one row recurrence.
+
+    (x, y) * mu(q[k-1], d[k], d[k-1]) = (y, (q[k-1] y - d[k] x) / d[k-1]),
+    with both cycles read mod len(d).  The division is skipped when the
+    divisor is 1, so integer input stays int.
+    """
+    m = len(d)
+    e = d[(k - 1) % m]
+    z = q[(k - 1) % m] * y - d[k % m] * x
+    return z if e == 1 else z / e
+
+
+def _walk(x, y, d: Sequence, q: Sequence, k: int, steps: int) -> Iterator:
+    """Yield c(i, k+1), ..., c(i, k+steps) by row steps from the window (x, y)."""
+    for k in range(k, k + steps):
+        x, y = y, _step(x, y, d, q, k)
+        yield y
+
+
 def propagate_row(prev: tuple, c_prev, d_next, d_prev) -> tuple[Fraction, Fraction]:
     """One row step: (x, y) * mu(c_prev, d_next, d_prev) = (y, next).
 
@@ -95,21 +120,23 @@ def propagate_row(prev: tuple, c_prev, d_next, d_prev) -> tuple[Fraction, Fracti
     d_prev = as_scalar(d_prev)
     if d_prev == 0:
         raise ValueError("propagation divides by the previous boundary entry")
-    return (y, (as_scalar(c_prev) * y - as_scalar(d_next) * x) / d_prev)
+    # the one step at k = 1 of the cycles d = (d_prev, d_next), q = (c_prev,)
+    return (y, _step(x, y, (d_prev, as_scalar(d_next)), (as_scalar(c_prev),), 1))
 
 
-def _coerce_cycle(values: Sequence, what: str) -> tuple[Fraction, ...]:
-    cycle = tuple(as_scalar(v) for v in values)
-    if len(cycle) < 3:
-        raise ValueError(f"{what} needs at least 3 values")
-    return cycle
-
-
-def _coerce_boundary(values: Sequence) -> tuple[Fraction, ...]:
-    cycle = _coerce_cycle(values, "boundary sequence")
-    if any(v == 0 for v in cycle):
+def _cycles(boundary: Sequence, quiddity: Sequence) -> tuple[tuple, tuple]:
+    """Both cycles as rationals: a nonzero boundary and a quiddity of equal length >= 3."""
+    d = tuple(as_scalar(v) for v in boundary)
+    if len(d) < 3:
+        raise ValueError("boundary sequence needs at least 3 values")
+    if any(v == 0 for v in d):
         raise ValueError("boundary entries must be nonzero")
-    return cycle
+    q = tuple(as_scalar(v) for v in quiddity)
+    if len(q) < 3:
+        raise ValueError("quiddity cycle needs at least 3 values")
+    if len(q) != len(d):
+        raise ValueError("boundary and quiddity must have the same length")
+    return d, q
 
 
 def build_pattern(boundary: Sequence, quiddity: Sequence) -> PatternGrid:
@@ -123,25 +150,11 @@ def build_pattern(boundary: Sequence, quiddity: Sequence) -> PatternGrid:
     violations for the validators to report.  Division only ever happens
     by boundary entries.
     """
-    d = _coerce_boundary(boundary)
-    q = _coerce_cycle(quiddity, "quiddity cycle")
+    d, q = _cycles(boundary, quiddity)
     m = len(d)
-    if len(q) != m:
-        raise ValueError("boundary and quiddity must have the same length")
-    rows = []
-    for i in range(m):
-        row = [Fraction(0)] * (m + 1)
-        pair = (-d[(i - 1) % m], Fraction(0))
-        for j in range(i, i + m - 1):
-            pair = propagate_row(pair, q[(j - 1) % m], d[j % m], d[(j - 1) % m])
-            row[j - i + 1] = pair[1]
-        rows.append(row)
-    return PatternGrid(rows)
-
-
-def _mu_at(d: tuple, q: tuple, k: int) -> Mat2:
-    m = len(d)
-    return mu(q[(k - 1) % m], d[k % m], d[(k - 1) % m])
+    zero = Fraction(0)
+    return PatternGrid([[zero, *_walk(-d[i - 1], zero, d, q, i, m - 1), zero]
+                        for i in range(m)])
 
 
 def closure_product(boundary: Sequence, quiddity: Sequence) -> Mat2:
@@ -151,16 +164,14 @@ def closure_product(boundary: Sequence, quiddity: Sequence) -> Mat2:
     ``mu(q[k-1], d[k], d[k-1])`` with both cycles read mod m.  The product
     equals -Id exactly when the data extends to a tame frieze with
     coefficients; an off-by-one here would silently break everything
-    downstream, hence the explicit spelling.
+    downstream, hence the explicit spelling.  Row r of the product is the
+    window reached by walking the unit row vector e_r over k = 1..m.
     """
-    d = _coerce_boundary(boundary)
-    q = _coerce_cycle(quiddity, "quiddity cycle")
-    if len(q) != len(d):
-        raise ValueError("boundary and quiddity must have the same length")
-    product = Mat2.identity()
-    for k in range(1, len(d) + 1):
-        product = product * _mu_at(d, q, k)
-    return product
+    d, q = _cycles(boundary, quiddity)
+    m = len(d)
+    *_, a11, a12 = _walk(1, 0, d, q, 1, m)
+    *_, a21, a22 = _walk(0, 1, d, q, 1, m)
+    return Mat2(a11, a12, a21, a22)
 
 
 def closes_to_negative_identity(boundary: Sequence, quiddity: Sequence) -> bool:
@@ -171,16 +182,13 @@ def entry_via_product(boundary: Sequence, quiddity: Sequence, i: int, j: int) ->
     """Recover c(i, j) as -d_{i-1} times the (1,1) entry of a mu-product.
 
     Valid for i - 1 <= j <= i + m - 1; the empty product at j = i - 1
-    correctly returns the extended entry -d_{i-1}.
+    correctly returns the extended entry -d_{i-1}.  The row vector
+    (-d_{i-1}, 0) times the factors k = i..j is the window
+    (c(i, j), c(i, j+1)), so this walks the row and reads its first component.
     """
-    d = _coerce_boundary(boundary)
-    q = _coerce_cycle(quiddity, "quiddity cycle")
+    d, q = _cycles(boundary, quiddity)
     m = len(d)
-    if len(q) != m:
-        raise ValueError("boundary and quiddity must have the same length")
     if not i - 1 <= j <= i + m - 1:
         raise ValueError(f"entry ({i}, {j}) is not reachable by the product formula")
-    product = Mat2.identity()
-    for k in range(i, j + 1):
-        product = product * _mu_at(d, q, k)
-    return -d[(i - 1) % m] * product.a11
+    seed = -d[(i - 1) % m]
+    return [seed, Fraction(0), *_walk(seed, Fraction(0), d, q, i, j - i + 1)][-2]

@@ -48,8 +48,8 @@ def render_svg(obj: FriezeMap | Triangulation, mark: tuple[int, int, int] | None
     For a frieze map every edge and diagonal is drawn with its value at the
     segment midpoint.  For a triangulation only the polygon edges and its
     diagonals are drawn, labelled with the values of the classic frieze
-    (all of them 1 by construction).  ``mark`` highlights one vertex
-    triple: its three connecting segments are drawn on top in red with
+    (all of them 1 by construction).  ``mark`` highlights three distinct
+    vertices: their three connecting segments are drawn on top in red with
     their frieze values.
     """
     if not isinstance(obj, (FriezeMap, Triangulation)):
@@ -67,8 +67,8 @@ def render_svg(obj: FriezeMap | Triangulation, mark: tuple[int, int, int] | None
         fz = obj
         segments = [pair for pair, _ in fz.pairs()]
     if mark is not None:
-        if len(mark) != 3 or any(not 1 <= v <= m for v in mark):
-            raise ValueError("mark must be a triple of polygon vertices")
+        if len(mark) != 3 or len(set(mark)) != 3 or any(not 1 <= v <= m for v in mark):
+            raise ValueError("mark must be a triple of distinct polygon vertices")
 
     size, radius = 500.0, 200.0
     center = size / 2
@@ -96,7 +96,7 @@ def render_svg(obj: FriezeMap | Triangulation, mark: tuple[int, int, int] | None
     if mark is not None:
         i, j, k = mark
         marked_segments = sorted(
-            (min(p, q), max(p, q)) for p, q in ((i, j), (j, k), (k, i)) if p != q
+            (min(p, q), max(p, q)) for p, q in ((i, j), (j, k), (k, i))
         )
         for p, q in marked_segments:
             parts.append(line(p, q, "red", "2"))

@@ -58,22 +58,6 @@ def gcd_nat(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
-def is_prime(n: int) -> bool:
-    """Trial-division primality test; inputs here are small divisors."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n >= 1, in increasing order."""
     if n < 1:
@@ -93,7 +77,7 @@ def prime_factors(n: int) -> list[int]:
 
 def p_valuation(p: int, n: int) -> int:
     """Largest e such that p**e divides n, for a prime p and n >= 1."""
-    if not is_prime(p):
+    if p < 2 or prime_factors(p) != [p]:
         raise ValueError(f"{p} is not prime")
     if n == 0:
         raise ValueError("valuation of 0 is undefined")

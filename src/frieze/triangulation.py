@@ -1,9 +1,12 @@
 """Polygon triangulations and the classic integer friezes they generate.
 
-The vertex-labelling recurrence (seed a vertex with 0, its neighbours with
-1, and let every triangle force the label of its third corner to be the
-sum of the other two) computes a whole row of the classic frieze at once;
-running it from every vertex fills in the polygon map.  The accordion
+A triangulation is read as its quiddity: vertex w carries q(w), the number
+of triangles at w (1 + the diagonals at w).  One walk of the package's
+row recurrence at unit boundary, c(v, w+1) = q(w) c(v, w) - c(v, w-1),
+computes a whole row of the classic frieze at once; running it from every
+vertex fills in the polygon map.  The triangle-sum labelling (every
+triangle labels its third corner with the sum of the other two) gives the
+same rows and is kept in the tests as the oracle.  The accordion
 construction runs the Euclidean algorithm backwards along a number line to
 plant two prescribed coprime labels across a unit edge, and three-way
 gluing welds marked edges onto a central unit triangle.
@@ -15,6 +18,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .core import FriezeMap
+from .propagation import _walk
 
 
 def _crossing(d1: tuple[int, int], d2: tuple[int, int]) -> bool:
@@ -111,41 +115,41 @@ def triangulation_to_json(t: Triangulation) -> dict:
 def triangulation_from_json(obj) -> Triangulation:
     if not isinstance(obj, dict) or "m" not in obj or "diagonals" not in obj:
         raise ValueError("triangulation JSON needs 'm' and 'diagonals'")
-    if not isinstance(obj["m"], int):
+    m, diagonals = obj["m"], obj["diagonals"]
+    if type(m) is not int:
         raise ValueError("'m' must be an integer")
-    return Triangulation(obj["m"], obj["diagonals"])
+    if not isinstance(diagonals, list) or not all(
+            isinstance(pair, list) and len(pair) == 2
+            and all(type(v) is int for v in pair) for pair in diagonals):
+        raise ValueError("'diagonals' must be a list of [p, q] integer pairs")
+    return Triangulation(m, diagonals)
 
 
 def cc_labels_from(t: Triangulation, v: int) -> list:
     """Labels of all vertices seen from v; label(w) = c(v, w) in the classic frieze.
 
-    Seeds v with 0 and its polygon neighbours with 1, then repeatedly lets
-    any triangle with two labelled corners label the third with their sum.
-    The result is independent of the processing order (every label is a
-    frieze entry), which tests assert by shuffling.
+    Reads the triangulation as its quiddity, q(w) = 1 + the number of
+    diagonals at w (the number of triangles at w), and walks the row of v
+    once with the package's single row recurrence at unit boundary:
+    c(v, w+1) = q(w) c(v, w) - c(v, w-1), from c(v, v-1) = -1, c(v, v) = 0.
+    Every label is an ``int``.  The triangle-sum rule (a triangle with two
+    labelled corners labels the third with their sum) gives the same
+    labels; it lives in the tests as the oracle.
 
     Returns a list of length m + 1 indexed by vertex; index 0 is unused.
     """
     m = t.m
     if not 1 <= v <= m:
         raise ValueError(f"vertex {v} outside 1..{m}")
+    # q[w - 1] is the quiddity of vertex w; the kernel reads it mod m
+    q = [1] * m
+    for diagonal in t.diagonals:
+        for w in diagonal:
+            q[w - 1] += 1
     labels: list = [None] * (m + 1)
     labels[v] = 0
-    labels[v % m + 1] = 1
-    labels[(v - 2) % m + 1] = 1
-    remaining = m - 3
-    triangles = t.triangles()
-    while remaining > 0:
-        progressed = False
-        for a, b, c in triangles:
-            known = [x for x in (a, b, c) if labels[x] is not None]
-            if len(known) == 2:
-                missing = a + b + c - known[0] - known[1]
-                labels[missing] = labels[known[0]] + labels[known[1]]
-                remaining -= 1
-                progressed = True
-        if not progressed:  # pragma: no cover - impossible for a triangulation
-            raise RuntimeError("labelling stalled; triangulation is inconsistent")
+    for w, value in zip(range(v + 1, v + m), _walk(-1, 0, (1,) * m, q, v, m - 1)):
+        labels[(w - 1) % m + 1] = value
     return labels
 
 

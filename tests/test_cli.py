@@ -131,6 +131,35 @@ def test_render_commands(tmp_path, capsys):
     assert stdout.splitlines()[0].split() == ["0", "3", "4", "3", "0"]
 
 
+def test_render_mark_with_ascii_is_usage_error(tmp_path, capsys):
+    tri = tmp_path / "hex.json"
+    tri.write_text(json.dumps(HEX_TRI))
+    code, stdout, err = run(capsys, "render", str(tri), "--format", "ascii",
+                            "--mark", "1,2")
+    assert code == 2 and stdout == ""
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "usage"
+
+
+def test_render_mark_repeated_vertex_is_usage_error(tmp_path, capsys):
+    tri = tmp_path / "hex.json"
+    tri.write_text(json.dumps(HEX_TRI))
+    code, stdout, err = run(capsys, "render", str(tri), "--format", "svg",
+                            "--mark", "1,1,1")
+    assert code == 2 and stdout == ""
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "usage"
+
+
+def test_from_triangulation_rejects_malformed_diagonals(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    for text in ('{"m": 4, "diagonals": 5}', '{"m": 4, "diagonals": [[1, "3"]]}',
+                 '{"m": 4, "diagonals": [[1.0, 3]]}',
+                 '{"m": 4, "diagonals": [[true, 3]]}'):
+        bad.write_text(text)
+        code, stdout, err = run(capsys, "from-triangulation", str(bad))
+        assert code == 2 and stdout == "", text
+        assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "usage", text
+
+
 def test_malformed_json_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frieze import (TAU, Mat2, build_pattern, closes_to_negative_identity,
@@ -11,6 +11,22 @@ from frieze.triangulation import enumerate_triangulations
 
 small = st.fractions(min_value=-30, max_value=30, max_denominator=10)
 small_nonzero = small.filter(lambda x: x != 0)
+
+
+def mu_prefix_products(boundary, quiddity, i):
+    """Oracle: the products mu_i, mu_i mu_{i+1}, ..., mu_i ... mu_{i+m-1}.
+
+    Factor k is mu(q[k-1], d[k], d[k-1]) with both cycles read mod m, the
+    explicit Mat2 spelling the propagation kernel replaced.
+    """
+    m = len(boundary)
+    product = Mat2.identity()
+    products = []
+    for k in range(i, i + m):
+        product = product * mu(quiddity[(k - 1) % m], boundary[k % m],
+                               boundary[(k - 1) % m])
+        products.append(product)
+    return products
 
 
 def test_mu_eta_values():
@@ -158,3 +174,23 @@ def test_column_propagation_on_built_grids(hexagon_frieze):
             top, mid = grid.entry(i - 1, k), grid.entry(i, k)
             out = (mat.a11 * top + mat.a12 * mid, mat.a21 * top + mat.a22 * mid)
             assert out == (mid, grid.entry(i + 1, k))
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=3, max_value=8).flatmap(lambda m: st.tuples(
+    st.lists(small_nonzero, min_size=m, max_size=m),
+    st.lists(small, min_size=m, max_size=m))))
+def test_kernel_matches_mu_product_oracle(cycles):
+    boundary, quiddity = cycles
+    m = len(boundary)
+    assert closure_product(boundary, quiddity) \
+        == mu_prefix_products(boundary, quiddity, 1)[-1]
+    grid = build_pattern(boundary, quiddity)
+    for i in range(m):
+        seed = -boundary[(i - 1) % m]
+        assert entry_via_product(boundary, quiddity, i, i - 1) == seed
+        assert grid.entry(i, i - 1) == seed
+        for j, product in enumerate(mu_prefix_products(boundary, quiddity, i), i):
+            expected = seed * product.a11
+            assert entry_via_product(boundary, quiddity, i, j) == expected
+            assert grid.entry(i, j) == expected

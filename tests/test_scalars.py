@@ -27,6 +27,8 @@ def test_p_valuation_examples():
         p_valuation(2, 0)
     with pytest.raises(ValueError):
         p_valuation(4, 12)
+    with pytest.raises(ValueError):
+        p_valuation(1, 12)
 
 
 @given(rationals, rationals)

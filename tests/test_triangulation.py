@@ -41,25 +41,26 @@ def test_cc_labels_hexagon(hexagon_fan):
     assert cc_labels_from(Triangulation(3, []), 2)[1:] == [1, 0, 1]
 
 
-def test_cc_labels_order_independence(hexagon_fan):
-    """Worklist confluence: any triangle processing order gives the same labels."""
+def test_cc_labels_order_independence():
+    """The triangle-sum rule, run in any triangle order, gives the kernel's labels."""
     rng = random.Random(11)
-    m = hexagon_fan.m
-    for v in range(1, m + 1):
-        expected = cc_labels_from(hexagon_fan, v)
-        for _ in range(5):
-            triangles = list(hexagon_fan.triangles())
-            rng.shuffle(triangles)
-            labels = [None] * (m + 1)
-            labels[v] = 0
-            labels[v % m + 1] = 1
-            labels[(v - 2) % m + 1] = 1
-            while any(x is None for x in labels[1:]):
-                for a, b, c in triangles:
-                    known = [x for x in (a, b, c) if labels[x] is not None]
-                    if len(known) == 2:
-                        labels[a + b + c - sum(known)] = sum(labels[x] for x in known)
-            assert labels == expected
+    for m in range(3, 10):
+        for tri in enumerate_triangulations(m):
+            for v in range(1, m + 1):
+                expected = cc_labels_from(tri, v)
+                assert all(type(x) is int for x in expected[1:])  # classify takes gcds
+                triangles = list(tri.triangles())
+                rng.shuffle(triangles)
+                labels = [None] * (m + 1)
+                labels[v] = 0
+                labels[v % m + 1] = 1
+                labels[(v - 2) % m + 1] = 1
+                while any(x is None for x in labels[1:]):
+                    for a, b, c in triangles:
+                        known = [x for x in (a, b, c) if labels[x] is not None]
+                        if len(known) == 2:
+                            labels[a + b + c - sum(known)] = sum(labels[x] for x in known)
+                assert labels == expected
 
 
 def test_cc_labels_symmetry_small():
