@@ -185,13 +185,6 @@ def iceberg_descent(t: CoeffTuple) -> CoeffTuple:
     return final
 
 
-def _initial_tuple(a: int, b: int, c: int, a1: int, b2: int) -> CoeffTuple:
-    if a1 == 0:
-        # gcd(a1, b) = 1 forces b = 1; use the closed-form preimage
-        return CoeffTuple(0, 1, a - c, c, 0, 1)
-    return CoeffTuple(a1, b, a - b2, b2, 0, 1)
-
-
 def realize_triangle(a: int, b: int, c: int) -> tuple[Triangulation, tuple[int, int, int]]:
     """A triangulation whose classic frieze shows labels (a, b, c) on a triangle.
 
@@ -215,7 +208,7 @@ def realize_triangle(a: int, b: int, c: int) -> tuple[Triangulation, tuple[int, 
     if a1 < 0:
         pa, pb = pb, pa
         a1, b2 = b2, a1
-    tup = iceberg_descent(_initial_tuple(pa, pb, pc, a1, b2))
+    tup = iceberg_descent(CoeffTuple(a1, pb, pa - b2, b2, 0, 1))
     assert delta(tup) == (pa, pb, pc)
 
     piece_a, k_a = accordion(tup.a1, tup.a2)
@@ -245,31 +238,26 @@ def realize_triangle(a: int, b: int, c: int) -> tuple[Triangulation, tuple[int, 
 def separating_unit_triangle(
     t: Triangulation, i: int, j: int, k: int
 ) -> tuple[int, int, int]:
-    """A unit-labelled triangle (i', j', k') interleaving the arcs of (i, j, k).
+    """A triangle of segments (i', j', k') interleaving the arcs of (i, j, k).
 
     Searches the closed arcs [i..j], [j..k], [k..i] in cyclic order for the
-    first triple whose three connecting labels are all 1; one always exists
-    for a triangulated polygon.  When (i, j, k) is itself a face -- in
-    particular when j = i + 1 and the edge (i, j) lies in some triangle of
-    the triangulation -- the face itself qualifies.
+    first triple whose three sides are segments (edges or diagonals), the
+    pairs the classic frieze labels 1; one always exists.  When (i, j, k)
+    is itself a face -- in particular when j = i + 1 and the edge (i, j)
+    lies in some triangle of the triangulation -- the face itself qualifies.
     """
     m = t.m
     if not (1 <= i < j < k <= m):
         raise ValueError("need 1 <= i < j < k <= m")
-    tables = {v: cc_labels_from(t, v) for v in range(1, m + 1)}
-
-    def value(p: int, q: int) -> int:
-        return 0 if p == q else tables[p][q]
-
     arc_ij = list(range(i, j + 1))
     arc_jk = list(range(j, k + 1))
     arc_ki = list(range(k, m + 1)) + list(range(1, i + 1))
     for ip in arc_ij:
         for jp in arc_jk:
-            if value(ip, jp) != 1:
+            if not t.is_segment(ip, jp):
                 continue
             for kp in arc_ki:
-                if value(jp, kp) == 1 and value(kp, ip) == 1:
+                if t.is_segment(jp, kp) and t.is_segment(kp, ip):
                     return ip, jp, kp
     raise AssertionError("no separating unit triangle found")  # pragma: no cover
 

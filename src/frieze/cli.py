@@ -59,7 +59,7 @@ def _load_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise _UsageError(f"cannot read JSON from {path}: {exc}") from None
 
 
@@ -83,9 +83,12 @@ def _load_any(path: str):
 def _emit(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}") from None
 
 
 def _report_detail(report) -> list:
@@ -213,6 +216,10 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
+_BOUNDARY_HELP = ("comma-separated scalars; write --boundary=-1,... when the "
+                 "first one is negative")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="frieze",
@@ -223,7 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", default=None, help="output file (default stdout)")
 
     p = sub.add_parser("build", help="boundary + quiddity -> validated frieze JSON")
-    p.add_argument("--boundary", required=True, help="comma-separated scalars")
+    p.add_argument("--boundary", required=True, help=_BOUNDARY_HELP)
     p.add_argument("--quiddity", required=True, help="comma-separated scalars")
     add_output(p)
     p.set_defaults(func=_cmd_build)
@@ -263,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("enumerate", help="all friezes with a boundary over a domain")
-    p.add_argument("--boundary", required=True, help="comma-separated scalars")
+    p.add_argument("--boundary", required=True, help=_BOUNDARY_HELP)
     p.add_argument("--domain", required=True,
                    help="nat | nonzero-int | scaled:p/q | set:v1,v2,...")
     p.set_defaults(func=_cmd_enumerate)

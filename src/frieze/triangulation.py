@@ -21,14 +21,13 @@ from .core import FriezeMap
 from .propagation import _walk
 
 
-def _crossing(d1: tuple[int, int], d2: tuple[int, int]) -> bool:
-    """Strict interior crossing of two chords on the circular vertex order."""
-    (a, b), (c, d) = sorted(d1), sorted(d2)
-    return (a < c < b < d) or (c < a < d < b)
-
-
 class Triangulation:
-    """A triangulation of a convex m-gon: m - 3 pairwise noncrossing diagonals."""
+    """A triangulation of a convex m-gon: m - 3 pairwise noncrossing diagonals.
+
+    Its segments (edges and diagonals) are exactly the pairs its classic
+    frieze labels 1.  Sorted by left end, longest first, noncrossing chords
+    nest like brackets, so one walk with a stack of open chords checks them.
+    """
 
     __slots__ = ("m", "diagonals", "_triangles")
 
@@ -46,11 +45,13 @@ class Triangulation:
         if len(diags) != m - 3:
             raise ValueError(f"a triangulated {m}-gon has {m - 3} diagonals, "
                              f"got {len(diags)}")
-        items = sorted(diags)
-        for a in range(len(items)):
-            for b in range(a + 1, len(items)):
-                if _crossing(items[a], items[b]):
-                    raise ValueError(f"diagonals {items[a]} and {items[b]} cross")
+        open_chords: list[tuple[int, int]] = []
+        for p, q in sorted(diags, key=lambda pair: (pair[0], -pair[1])):
+            while open_chords and open_chords[-1][1] <= p:
+                open_chords.pop()
+            if open_chords and open_chords[-1][1] < q:
+                raise ValueError(f"diagonals {open_chords[-1]} and {(p, q)} cross")
+            open_chords.append((p, q))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "diagonals", frozenset(diags))
         object.__setattr__(self, "_triangles", None)

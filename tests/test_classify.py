@@ -158,6 +158,33 @@ def test_separating_unit_triangle_hexagon(hexagon_fan):
         separating_unit_triangle(hexagon_fan, 3, 1, 5)
 
 
+def separating_by_labels(tables, m, i, j, k):
+    """The label-table search: the first triple in arc order whose three
+    connecting frieze labels are all 1."""
+
+    def value(p, q):
+        return 0 if p == q else tables[p][q]
+
+    arc_ki = list(range(k, m + 1)) + list(range(1, i + 1))
+    for ip in range(i, j + 1):
+        for jp in range(j, k + 1):
+            if value(ip, jp) != 1:
+                continue
+            for kp in arc_ki:
+                if value(jp, kp) == 1 and value(kp, ip) == 1:
+                    return ip, jp, kp
+    raise AssertionError("no separating unit triangle found")
+
+
+def test_separating_unit_triangle_matches_label_oracle():
+    for m in range(3, 10):
+        for tri in enumerate_triangulations(m):
+            tables = {v: cc_labels_from(tri, v) for v in range(1, m + 1)}
+            for i, j, k in combinations(range(1, m + 1), 3):
+                assert (separating_unit_triangle(tri, i, j, k)
+                        == separating_by_labels(tables, m, i, j, k)), (tri, i, j, k)
+
+
 def test_decompose_hexagon(hexagon_fan):
     tup = decompose_triangle(hexagon_fan, 1, 3, 5)
     assert delta(tup) == (4, 2, 2)
@@ -192,3 +219,13 @@ def test_decompose_of_realized_triangle_recovers_triple():
                     tables[ordered[2]][ordered[0]])
         assert delta(decompose_triangle(tri, *ordered)) == expected
         assert sorted(expected) == sorted(triple)
+
+
+def test_realize_and_decompose_large_polygon():
+    tri, (i, j, k) = realize_triangle(1000, 999, 1)
+    assert tri.m == 1003
+    tables = {v: cc_labels_from(tri, v) for v in (i, j, k)}
+    assert (tables[i][j], tables[j][k], tables[k][i]) == (1000, 999, 1)
+    a, b, c = sorted((i, j, k))
+    expected = (tables[a][b], tables[b][c], tables[c][a])
+    assert delta(decompose_triangle(tri, a, b, c)) == expected

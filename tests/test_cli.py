@@ -1,3 +1,4 @@
+import io
 import json
 
 from frieze import frieze_from_json, triangulation_from_json
@@ -171,3 +172,39 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(capsys, "frobnicate")[0] == 2
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    tri = tmp_path / "hex.json"
+    tri.write_text(json.dumps(HEX_TRI))
+    commands = [
+        ("build", "--boundary", "3,7,5,3", "--quiddity", "4,9,4,9"),
+        ("from-triangulation", str(tri)),
+        ("render", str(tri), "--format", "ascii"),
+    ]
+    for output in (tmp_path / "missing" / "x.json", tmp_path):
+        for argv in commands:
+            code, stdout, err = run(capsys, *argv, "-o", str(output))
+            assert code == 2 and stdout == "", argv
+            assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "usage", argv
+
+
+def test_deeply_nested_json_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000))
+    code, stdout, err = run(capsys, "validate", "-")
+    assert code == 2 and stdout == ""
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "usage"
+
+
+def test_negative_boundary_parses_in_equals_form(capsys):
+    code, stdout, _ = run(capsys, "build", "--boundary=-1,-1,-1,-1",
+                          "--quiddity=-1,-2,-1,-2")
+    assert code == 0
+    assert [int(x) for x in frieze_from_json(json.loads(stdout)).edge_values] == [-1] * 4
+    code, stdout, _ = run(capsys, "enumerate", "--boundary=-1,-1,-1,-1",
+                          "--domain", "nonzero-int")
+    assert code == 0
+    assert json.loads(stdout.splitlines()[-1])["boundary"] == ["-1"] * 4
+    # the separate form is read as two flags, as the help text warns
+    assert run(capsys, "build", "--boundary", "-1,-1,-1,-1",
+               "--quiddity=-1,-2,-1,-2")[0] == 2

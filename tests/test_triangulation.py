@@ -1,5 +1,7 @@
 import json
 import random
+import re
+from itertools import combinations
 from math import comb, gcd
 
 import pytest
@@ -27,6 +29,50 @@ def test_constructor_validation():
         Triangulation(6, [(1, 6), (2, 5), (2, 6)])  # wrap edge passed as diagonal
     with pytest.raises(ValueError):
         Triangulation(6, [(2, 4)])  # wrong count
+
+
+def crosses(d1, d2):
+    """Strict interior crossing of two chords on the circular vertex order."""
+    (a, b), (c, d) = sorted(d1), sorted(d2)
+    return (a < c < b < d) or (c < a < d < b)
+
+
+def test_noncrossing_walk_matches_all_pairs_oracle():
+    """The constructor's nesting walk accepts exactly the chord sets with no
+    crossing pair, and every rejection names a pair that really crosses."""
+    rng = random.Random(5)
+    cases = []
+    for m in range(3, 11):
+        diagonals = [(p, q) for p in range(1, m + 1) for q in range(p + 2, m + 1)
+                     if (p, q) != (1, m)]
+        if m <= 8:
+            cases += [(m, set(chords)) for chords in combinations(diagonals, m - 3)]
+            continue
+        triangulations = enumerate_triangulations(m)
+        for _ in range(1500):
+            chords = set(rng.choice(triangulations).diagonals)
+            for _ in range(rng.randint(0, 2)):  # swap chords for random diagonals
+                chords.remove(rng.choice(sorted(chords)))
+                chords.add(rng.choice([d for d in diagonals if d not in chords]))
+            cases.append((m, chords))
+    outcomes = {True: 0, False: 0}
+    for m, chords in cases:
+        given = [pair if rng.random() < 0.5 else pair[::-1] for pair in chords]
+        rng.shuffle(given)
+        oracle_accepts = not any(crosses(d1, d2) for d1, d2 in combinations(chords, 2))
+        try:
+            Triangulation(m, given)
+        except ValueError as exc:
+            assert not oracle_accepts, (m, given)
+            named = re.fullmatch(r"diagonals \((\d+), (\d+)\) and \((\d+), (\d+)\) cross",
+                                 str(exc))
+            assert named, str(exc)
+            a, b, c, d = map(int, named.groups())
+            assert {(a, b), (c, d)} <= chords and crosses((a, b), (c, d)), str(exc)
+        else:
+            assert oracle_accepts, (m, given)
+        outcomes[oracle_accepts] += 1
+    assert min(outcomes.values()) > 1000
 
 
 def test_triangle_faces(hexagon_fan):
