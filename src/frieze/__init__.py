@@ -19,9 +19,8 @@ from .propagation import (TAU, Mat2, build_pattern,
                           entry_via_product, eta, mu, propagate_row)
 from .ptolemy import ptolemy_holds, verify_all_ptolemy
 from .render import render_ascii, render_svg
-from .scalars import (DomainSpec, Scalar, as_scalar, domain_enumerate_bounded,
-                      gcd_nat, p_valuation, parse_domain, scalar_from_str,
-                      scalar_to_str)
+from .scalars import (DomainSpec, Scalar, as_scalar, p_valuation, parse_domain,
+                      scalar_from_str, scalar_to_str)
 from .triangulation import (Triangulation, accordion, cc_labels_from,
                             cut_subpolygon, enumerate_triangulations,
                             frieze_from_triangulation, glue_three,
@@ -37,9 +36,9 @@ __all__ = [
     "cc_labels_from", "check_glide", "classify_triangle",
     "closes_to_negative_identity", "closure_product", "coefficient_witness",
     "cut_subpolygon", "decompose_triangle", "delta", "descent_steps",
-    "domain_enumerate_bounded", "entry_via_product", "enumerate_friezes",
+    "entry_via_product", "enumerate_friezes",
     "enumerate_triangulations", "eta", "frieze_from_json",
-    "frieze_from_triangulation", "frieze_to_json", "gamma_t", "gcd_nat",
+    "frieze_from_triangulation", "frieze_to_json", "gamma_t",
     "glue_three", "grid_from_polygon", "iceberg_descent",
     "in_coefficient_set", "mu", "normalize_index", "p_valuation",
     "parse_domain", "propagate_row", "ptolemy_holds", "quiddity_bound",

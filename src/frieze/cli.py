@@ -1,18 +1,22 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 mathematical validation failure, 2 usage or
-parse error.  Errors are reported on stderr as single-line JSON.
+parse error, which includes a bad or missing flag and a stdout closed by
+its reader.  Errors are reported on stderr as single-line JSON.  ``main``
+is the one place that maps errors to exit codes: commands raise a
+``ValueError``, ``_UsageError`` or ``_ValidationFailure`` and it reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .classify import classify_triangle, realize_triangle
-from .core import (FriezeMap, check_glide, frieze_from_json, frieze_to_json,
-                   grid_from_polygon, to_polygon, validate_local, validate_tame)
+from .core import (check_glide, frieze_from_json, frieze_to_json, grid_from_polygon,
+                   to_polygon, validate_local, validate_tame)
 from .enumeration import enumerate_friezes, enumeration_summary
 from .propagation import build_pattern
 from .ptolemy import verify_all_ptolemy
@@ -47,10 +51,7 @@ def _fail(kind: str, message: str, detail=None) -> None:
 
 
 def _parse_scalars(text: str) -> list:
-    try:
-        return [scalar_from_str(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return [scalar_from_str(part) for part in text.split(",") if part.strip()]
 
 
 def _load_json(path: str):
@@ -63,32 +64,28 @@ def _load_json(path: str):
         raise _UsageError(f"cannot read JSON from {path}: {exc}") from None
 
 
-def _load_frieze(path: str) -> FriezeMap:
-    try:
-        return frieze_from_json(_load_json(path))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
 def _load_any(path: str):
     obj = _load_json(path)
-    try:
-        if isinstance(obj, dict) and "diagonals" in obj:
-            return triangulation_from_json(obj)
-        return frieze_from_json(obj)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    if isinstance(obj, dict) and "diagonals" in obj:
+        return triangulation_from_json(obj)
+    return frieze_from_json(obj)
 
 
 def _emit(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return
+    to_stdout = path is None or path == "-"
+    if to_stdout and sys.stdout is None:  # descriptor 1 was closed at start-up
+        raise _UsageError("cannot write stdout: it is closed")
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        if to_stdout:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
     except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc}") from None
+        if to_stdout:  # so the flush at interpreter exit fails no second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _UsageError(f"cannot write {'stdout' if to_stdout else path}: {exc}") from None
 
 
 def _report_detail(report) -> list:
@@ -99,10 +96,7 @@ def _report_detail(report) -> list:
 def _cmd_build(args) -> int:
     boundary = _parse_scalars(args.boundary)
     quiddity = _parse_scalars(args.quiddity)
-    try:
-        grid = build_pattern(boundary, quiddity)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    grid = build_pattern(boundary, quiddity)
     report = validate_local(grid).merged(validate_tame(grid))
     if not report.ok:
         raise _ValidationFailure("pattern violates the frieze conditions",
@@ -114,37 +108,28 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    f = _load_frieze(args.file)
+    f = frieze_from_json(_load_json(args.file))
     grid = grid_from_polygon(f)
     report = (validate_local(grid)
               .merged(validate_tame(grid))
               .merged(verify_all_ptolemy(f)))
     if not report.ok:
         raise _ValidationFailure("frieze fails validation", _report_detail(report))
-    print(json.dumps({"m": f.m, "valid": True}))
+    _emit(json.dumps({"m": f.m, "valid": True}) + "\n", None)
     return EXIT_OK
 
 
 def _cmd_from_triangulation(args) -> int:
-    try:
-        tri = triangulation_from_json(_load_json(args.file))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    tri = triangulation_from_json(_load_json(args.file))
     _emit(json.dumps(frieze_to_json(frieze_from_triangulation(tri)), indent=2) + "\n",
           args.output)
     return EXIT_OK
 
 
 def _cmd_cut(args) -> int:
-    f = _load_frieze(args.file)
-    try:
-        verts = [int(part) for part in args.verts.split(",") if part.strip()]
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    try:
-        sub = cut_subpolygon(f, verts)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    f = frieze_from_json(_load_json(args.file))
+    verts = [int(part) for part in args.verts.split(",") if part.strip()]
+    sub = cut_subpolygon(f, verts)
     _emit(json.dumps(frieze_to_json(sub), indent=2) + "\n", args.output)
     return EXIT_OK
 
@@ -160,11 +145,8 @@ def _cmd_accordion(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    try:
-        verdict = classify_triangle(args.a, args.b, args.c)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    print("true" if verdict else "false")
+    verdict = classify_triangle(args.a, args.b, args.c)
+    _emit("true\n" if verdict else "false\n", None)
     return EXIT_OK
 
 
@@ -180,17 +162,14 @@ def _cmd_realize(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     boundary = _parse_scalars(args.boundary)
-    try:
-        domain = parse_domain(args.domain)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    domain = parse_domain(args.domain)
     try:
         results = enumerate_friezes(boundary, domain)
     except ValueError as exc:
         raise _ValidationFailure(str(exc)) from None
-    for f in results:
-        print(json.dumps(frieze_to_json(f)))
-    print(json.dumps(enumeration_summary(boundary, domain, results)))
+    docs = [frieze_to_json(f) for f in results]
+    docs.append(enumeration_summary(boundary, domain, results))
+    _emit("".join(json.dumps(doc) + "\n" for doc in docs), None)
     return EXIT_OK
 
 
@@ -198,21 +177,12 @@ def _cmd_render(args) -> int:
     if args.mark is not None and args.format == "ascii":
         raise _UsageError("--mark applies only to --format svg")
     obj = _load_any(args.file)
-    mark = None
-    if args.mark:
-        try:
-            mark = tuple(int(part) for part in args.mark.split(","))
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-    try:
-        if args.format == "ascii":
-            f = (frieze_from_triangulation(obj)
-                 if isinstance(obj, Triangulation) else obj)
-            _emit(render_ascii(f), args.output)
-        else:
-            _emit(render_svg(obj, mark=mark), args.output)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    if args.format == "ascii":
+        f = frieze_from_triangulation(obj) if isinstance(obj, Triangulation) else obj
+        _emit(render_ascii(f), args.output)
+    else:
+        mark = tuple(int(part) for part in args.mark.split(",")) if args.mark else None
+        _emit(render_svg(obj, mark=mark), args.output)
     return EXIT_OK
 
 
@@ -220,8 +190,15 @@ _BOUNDARY_HELP = ("comma-separated scalars; write --boundary=-1,... when the "
                  "first one is negative")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that raises its flag errors for ``main`` to report."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frieze",
         description="Build, validate, enumerate and draw friezes with coefficients.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -286,14 +263,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except SystemExit:  # argparse exits only after printing --help
+        return EXIT_OK
+    except (_UsageError, ValueError) as exc:
         _fail("usage", str(exc))
         return EXIT_USAGE
     except _ValidationFailure as exc:

@@ -348,8 +348,9 @@ def frieze_to_json(f: FriezeMap) -> dict:
 def frieze_from_json(obj) -> FriezeMap:
     """Strict loader for the frieze JSON format.
 
-    Rejects missing or extraneous pairs, malformed scalars, and zero
-    boundary entries (the FriezeMap constructor enforces the latter two).
+    Rejects missing, extraneous or repeated pairs (``"01,3"`` repeats
+    ``"1,3"``), malformed scalars, and zero boundary entries (the FriezeMap
+    constructor enforces the latter two).
     """
     if not isinstance(obj, dict) or "m" not in obj or "entries" not in obj:
         raise ValueError("frieze JSON needs 'm' and 'entries'")
@@ -368,6 +369,8 @@ def frieze_from_json(obj) -> FriezeMap:
             p, q = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"bad pair key {key!r}") from None
+        if (p, q) in entries:
+            raise ValueError(f"pair ({p}, {q}) given twice, the second time as {key!r}")
         if not isinstance(text, str):
             raise ValueError(f"entry for {key!r} must be a string scalar")
         entries[(p, q)] = scalar_from_str(text)

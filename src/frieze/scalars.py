@@ -10,7 +10,6 @@ effective search.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,13 +48,6 @@ def scalar_to_str(value: int | str | Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def gcd_nat(a: int, b: int) -> int:
-    """Greatest common divisor of two nonnegative integers; gcd(0, 0) = 0."""
-    if a < 0 or b < 0:
-        raise ValueError("gcd_nat expects nonnegative integers")
-    return math.gcd(a, b)
 
 
 def prime_factors(n: int) -> list[int]:
@@ -135,14 +127,6 @@ class DomainSpec:
     # -- queries -----------------------------------------------------------
 
     @property
-    def kind(self) -> str:
-        if self.values is not None:
-            return "explicit-finite-set"
-        if self.factor == 1:
-            return "nonzero-integers" if self.signed else "positive-integers"
-        return "scaled-integers" if self.signed else "scaled-positive-integers"
-
-    @property
     def min_modulus(self) -> Fraction:
         """inf{|x| : x in the domain, x != 0}; strictly positive."""
         if self.values is not None:
@@ -212,8 +196,3 @@ def parse_domain(text: str) -> DomainSpec:
             raise ValueError("empty domain set")
         return DomainSpec.finite_set(items)
     raise ValueError(f"unknown domain {text!r}")
-
-
-def domain_enumerate_bounded(domain: DomainSpec, bound) -> list[Fraction]:
-    """Nonzero members of ``domain`` with absolute value at most ``bound``."""
-    return domain.enumerate_bounded(bound)

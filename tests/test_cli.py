@@ -1,10 +1,21 @@
+import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import frieze
 from frieze import frieze_from_json, triangulation_from_json
 from frieze.cli import main
 
 HEX_TRI = {"m": 6, "diagonals": [[2, 4], [2, 5], [2, 6]]}
+#: the square frieze built from boundary 3,7,5,3 and quiddity 4,9,4,9
+SQUARE_ENTRIES = {"1,2": "7", "1,3": "9", "1,4": "3", "2,3": "5", "2,4": "4", "3,4": "3"}
 
 
 def run(capsys, *argv):
@@ -171,7 +182,23 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
 
 
 def test_unknown_subcommand_is_usage_error(capsys):
-    assert run(capsys, "frobnicate")[0] == 2
+    code, stdout, err = run(capsys, "frobnicate")
+    assert code == 2 and stdout == ""
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "usage"
+
+
+def test_missing_flag_is_usage_error(capsys):
+    code, stdout, err = run(capsys, "build", "--boundary", "3,7,5,3")
+    assert code == 2 and stdout == ""
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "usage"
+    assert "--quiddity" in json.loads(err)["message"]
+
+
+def test_help_goes_to_stdout(capsys):
+    for argv in (["--help"], ["enumerate", "--help"]):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert stdout.startswith("usage: frieze")
 
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
@@ -206,5 +233,125 @@ def test_negative_boundary_parses_in_equals_form(capsys):
     assert code == 0
     assert json.loads(stdout.splitlines()[-1])["boundary"] == ["-1"] * 4
     # the separate form is read as two flags, as the help text warns
-    assert run(capsys, "build", "--boundary", "-1,-1,-1,-1",
-               "--quiddity=-1,-2,-1,-2")[0] == 2
+    code, stdout, err = run(capsys, "build", "--boundary", "-1,-1,-1,-1",
+                            "--quiddity=-1,-2,-1,-2")
+    assert code == 2 and stdout == ""
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "usage"
+
+
+def test_pair_key_given_twice_is_usage_error(monkeypatch, capsys):
+    # "01,3" is the pair (1, 3) spelled differently; first or last, it is refused
+    for entries in ({"01,3": "10", **SQUARE_ENTRIES}, {**SQUARE_ENTRIES, "01,3": "10"}):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"m": 4, "entries": entries})))
+        code, stdout, err = run(capsys, "validate", "-")
+        assert code == 2 and stdout == ""
+        assert len(err.splitlines()) == 1 and json.loads(err)["error"] == "usage"
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"m": 4, "entries": SQUARE_ENTRIES})))
+    assert run(capsys, "validate", "-")[0] == 0
+
+
+def run_frieze(argv, **streams):
+    env = dict(os.environ, PYTHONPATH=str(Path(frieze.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-m", "frieze", *argv], stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=60, **streams)
+
+
+def test_closed_stdout_is_usage_error():
+    argv = ["enumerate", "--boundary=-1,-1,-1,-1", "--domain", "nonzero-int"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        piped = run_frieze(argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    # descriptor 1 closed before the interpreter starts
+    closed = run_frieze(argv, preexec_fn=lambda: os.close(1))
+    for done in (piped, closed):
+        assert done.returncode == 2 and "Traceback" not in done.stderr
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+
+
+# -- the exit-code contract under random input ---------------------------------
+
+def run_in_process(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def csv(elements, max_size=7):
+    return st.lists(elements, max_size=max_size).map(",".join)
+
+
+def flag(name, values):
+    return values.map(f"--{name}={{}}".format)
+
+
+scalars = st.sampled_from(["1", "-1", "1/2", "2", "3", "4", "9", "0", "-2/3", "x", "1/0", ""])
+labels = st.integers(-1, 30).map(str)
+# enumeration stays tiny: one more vertex or a coarser domain costs seconds
+enum_boundaries = csv(st.sampled_from(["1", "-1", "1/2"]), max_size=4)
+domains = st.sampled_from(["nat", "nonzero-int", "scaled:1/2", "scaled-nat:1/2",
+                           "set:1,2,3", "set:-1,1/2,2", "set:", "scaled:0", "galaxies"])
+COMMANDS = {
+    "build": st.tuples(flag("boundary", csv(scalars)), flag("quiddity", csv(scalars))),
+    "validate": st.just(("-",)),
+    "from-triangulation": st.just(("-",)),
+    "cut": st.tuples(st.just("-"), flag("verts", csv(labels))),
+    "accordion": st.tuples(labels, labels),
+    "classify-triangle": st.tuples(labels, labels, labels),
+    "realize-triangle": st.tuples(labels, labels, labels),
+    "enumerate": st.tuples(flag("boundary", enum_boundaries), flag("domain", domains)),
+    "render": st.tuples(st.just("-"), flag("format", st.sampled_from(["ascii", "svg", "png"])),
+                        st.lists(flag("mark", csv(labels, max_size=4)), max_size=1))
+              .map(lambda t: (t[0], t[1], *t[2])),
+}
+# "-o" only ever last or before "-", so no example writes a file
+noise = st.tuples(st.lists(st.sampled_from(["-", "--help", "--bogus", "--format", "--mark",
+                                            "--verts", "1,2", "-1,1", "x"]), max_size=3),
+                  st.sampled_from([[], ["-o", "-"], ["-o"]])).map(lambda t: t[0] + t[1])
+
+
+argvs = st.one_of(
+    *(st.tuples(st.just(name), args, noise).map(lambda t: [t[0], *t[1], *t[2]])
+      for name, args in COMMANDS.items()),
+    noise)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8)
+pair_keys = (st.tuples(st.integers(0, 8), st.integers(0, 8)).map("{0[0]},{0[1]}".format)
+             | st.sampled_from(["01,3", "1", "a,b", ""]))
+documents = st.one_of(
+    st.just({"m": 4, "entries": SQUARE_ENTRIES}),
+    st.just(HEX_TRI),
+    st.fixed_dictionaries({"m": st.integers(-1, 7),
+                           "entries": st.dictionaries(pair_keys, scalars, max_size=21)}),
+    st.fixed_dictionaries({"m": st.integers(-1, 7),
+                           "diagonals": st.lists(st.lists(st.integers(0, 8), max_size=3),
+                                                 max_size=5)}),
+    json_values)
+stdins = documents.map(json.dumps) | st.text(max_size=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs, stdins)
+def test_every_input_ends_in_a_documented_exit(argv, stdin):
+    code, stdout, err = run_in_process(argv, stdin)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+        return
+    assert stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == ("validation" if code == 1 else "usage")

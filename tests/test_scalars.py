@@ -4,18 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from frieze import (DomainSpec, domain_enumerate_bounded, gcd_nat,
-                    p_valuation, parse_domain, scalar_from_str, scalar_to_str)
+from frieze import (DomainSpec, p_valuation, parse_domain, scalar_from_str,
+                    scalar_to_str)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
-
-
-def test_gcd_nat_examples():
-    assert gcd_nat(4, 6) == 2
-    assert gcd_nat(0, 5) == 5
-    assert gcd_nat(0, 0) == 0
-    with pytest.raises(ValueError):
-        gcd_nat(-1, 2)
 
 
 def test_p_valuation_examples():
@@ -53,14 +45,14 @@ def test_scalar_parsing_rejects_junk():
 
 def test_domain_enumerate_examples():
     nat = DomainSpec.positive_integers()
-    assert domain_enumerate_bounded(nat, 3) == [1, 2, 3]
+    assert nat.enumerate_bounded(3) == [1, 2, 3]
     half = DomainSpec.scaled_integers(Fraction(1, 2))
-    assert domain_enumerate_bounded(half, 1) == [
+    assert half.enumerate_bounded(1) == [
         Fraction(-1), Fraction(-1, 2), Fraction(1, 2), Fraction(1)]
     fset = DomainSpec.finite_set([3, 7, 5])
-    assert domain_enumerate_bounded(fset, 6) == [3, 5]
+    assert fset.enumerate_bounded(6) == [3, 5]
     half_nat = nat.scaled(Fraction(1, 2))
-    assert domain_enumerate_bounded(half_nat, 1) == [Fraction(1, 2), Fraction(1)]
+    assert half_nat.enumerate_bounded(1) == [Fraction(1, 2), Fraction(1)]
 
 
 def test_min_modulus():
