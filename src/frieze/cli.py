@@ -10,6 +10,7 @@ is the one place that maps errors to exit codes: commands raise a
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -47,7 +48,9 @@ def _fail(kind: str, message: str, detail=None) -> None:
     record = {"error": kind, "message": message}
     if detail is not None:
         record["detail"] = detail
-    print(json.dumps(record), file=sys.stderr)
+    if sys.stderr is not None:  # None when descriptor 2 was closed at start-up
+        with contextlib.suppress(OSError):  # a failing stderr leaves the exit code
+            print(json.dumps(record), file=sys.stderr, flush=True)
 
 
 def _parse_scalars(text: str) -> list:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping
 
 from .scalars import as_scalar, scalar_from_str, scalar_to_str
@@ -161,49 +162,67 @@ class PatternGrid:
         return f"PatternGrid(m={self.m}, n={self.n})"
 
 
+def _cleared(rows) -> tuple[int, list[list[int]]]:
+    """The lcm L of a table's denominators, and the table times L as ints."""
+    big = lcm(*(x.denominator for row in rows for x in row))
+    return big, [[x.numerator * (big // x.denominator) for x in row] for row in rows]
+
+
+def _extended_rows(grid: PatternGrid) -> tuple[int, list[list[int]]]:
+    """L and, per row i, L * c(i, i-1), ..., L * c(i, i+m+1) as ints."""
+    big, table = _cleared(grid.rows)
+    return big, [[-table[i - 1][1], *row, -row[1]] for i, row in enumerate(table)]
+
+
 def validate_local(grid: PatternGrid) -> ValidationReport:
     """Check every 2x2 determinant condition, extended diagonals included.
 
     The condition at (i, j) asks that the adjacent 2x2 determinant equal
     the product of the two boundary entries c(i+1, i+m) and c(j, j+1); a
     row that fails to glide back onto the boundary therefore shows up here.
+    Both sides are homogeneous of degree 2 in the entries, so the check runs
+    exactly on the integers L * c(i, j), L the common denominator; a
+    failure's detail divides back by L**2.
     """
     m = grid.m
+    big, ext = _extended_rows(grid)
+    d = [row[2] for row in ext] * 2  # c(j, j+1), read for j up to 2m - 1
     bad = []
     for i in range(m):
-        for j in range(i, i + m + 1):
-            lhs = (grid.entry(i, j) * grid.entry(i + 1, j + 1)
-                   - grid.entry(i, j + 1) * grid.entry(i + 1, j))
-            rhs = grid.entry(i + 1, i + m) * grid.entry(j, j + 1)
+        a, b = ext[i], ext[(i + 1) % m]
+        edge = b[m]  # c(i+1, i+m)
+        # c(i, j), c(i+1, j+1), c(i, j+1), c(i+1, j), c(j, j+1)
+        for j, (aj, bj1, aj1, bj, dj) in enumerate(
+                zip(a[1:], b[1:], a[2:], b, d[i:i + m + 1]), i):
+            lhs, rhs = aj * bj1 - aj1 * bj, edge * dj
             if lhs != rhs:
+                lhs, rhs = Fraction(lhs, big * big), Fraction(rhs, big * big)
                 bad.append(Violation(
                     "local", (i, j),
                     f"determinant {scalar_to_str(lhs)} != {scalar_to_str(rhs)}"))
     return ValidationReport(tuple(bad))
 
 
-def _det3(rows) -> Fraction:
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 def validate_tame(grid: PatternGrid) -> ValidationReport:
     """Report every complete adjacent 3x3 submatrix with nonzero determinant.
 
     Runs over the extended pattern, so the window top-left corner (i, j)
-    ranges over j = i+1 .. i+m-1.
+    ranges over j = i+1 .. i+m-1.  The determinant is homogeneous of degree
+    3 in the entries, so it is computed exactly on the integers L * c(i, j),
+    L the common denominator; a failure's detail divides back by L**3.
     """
     m = grid.m
+    big, ext = _extended_rows(grid)
     bad = []
     for i in range(m):
-        for j in range(i + 1, i + m):
-            det = _det3([
-                [grid.entry(i + di, j + dj) for dj in range(3)]
-                for di in range(3)
-            ])
-            if det != 0:
+        a, b, c = ext[i], ext[(i + 1) % m], ext[(i + 2) % m]
+        for j, (a0, a1, a2, b0, b1, b2, c0, c1, c2) in enumerate(
+                zip(a[2:], a[3:], a[4:], b[1:], b[2:], b[3:], c, c[1:], c[2:]), i + 1):
+            det = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+            if det:
                 bad.append(Violation(
-                    "tame", (i, j), f"3x3 determinant {scalar_to_str(det)} != 0"))
+                    "tame", (i, j),
+                    f"3x3 determinant {scalar_to_str(Fraction(det, big ** 3))} != 0"))
     return ValidationReport(tuple(bad))
 
 

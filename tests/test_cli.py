@@ -10,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frieze
-from frieze import frieze_from_json, triangulation_from_json
+import validator_oracles as oracle
+from frieze import (FriezeMap, Triangulation, frieze_from_json, frieze_from_triangulation,
+                    frieze_to_json, grid_from_polygon, triangulation_from_json)
 from frieze.cli import main
 
 HEX_TRI = {"m": 6, "diagonals": [[2, 4], [2, 5], [2, 6]]}
@@ -63,6 +65,25 @@ def test_validate_detects_mutation(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     code, _, err = run(capsys, "validate", str(bad))
     assert code == 1 and json.loads(err)["error"] == "validation"
+
+
+def test_validate_large_fan(tmp_path, capsys):
+    m = 60
+    fan = frieze_from_triangulation(Triangulation(m, [(1, k) for k in range(3, m)]))
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(frieze_to_json(fan)))
+    assert run(capsys, "validate", str(path)) == (0, '{"m": 60, "valid": true}\n', "")
+    entries = dict(fan.pairs())
+    entries[(20, 50)] += 1  # a long diagonal
+    broken = FriezeMap(m, entries)
+    path.write_text(json.dumps(frieze_to_json(broken)))
+    code, _, err = run(capsys, "validate", str(path))
+    grid = grid_from_polygon(broken)
+    expected = (oracle.validate_local(grid).merged(oracle.validate_tame(grid))
+                .merged(oracle.verify_all_ptolemy(broken)))
+    assert code == 1 and expected.violations
+    assert json.loads(err)["detail"] == [{"rule": v.rule, "at": list(v.at), "detail": v.detail}
+                                         for v in expected.violations]
 
 
 def test_from_triangulation_and_cut(tmp_path, capsys):
@@ -252,8 +273,9 @@ def test_pair_key_given_twice_is_usage_error(monkeypatch, capsys):
 
 def run_frieze(argv, **streams):
     env = dict(os.environ, PYTHONPATH=str(Path(frieze.__file__).resolve().parent.parent))
-    return subprocess.run([sys.executable, "-m", "frieze", *argv], stderr=subprocess.PIPE,
-                          text=True, env=env, timeout=60, **streams)
+    streams.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, "-m", "frieze", *argv], text=True, env=env,
+                          timeout=60, **streams)
 
 
 def test_closed_stdout_is_usage_error():
@@ -270,6 +292,21 @@ def test_closed_stdout_is_usage_error():
         assert done.returncode == 2 and "Traceback" not in done.stderr
         lines = done.stderr.splitlines()
         assert len(lines) == 1 and json.loads(lines[0])["error"] == "usage"
+
+
+def test_closed_stderr_keeps_exit_code():
+    for argv, code in ((["classify-triangle", "0", "2", "2"], 2),
+                       (["accordion", "4", "6"], 1)):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first write
+        try:
+            piped = run_frieze(argv, stdout=subprocess.PIPE, stderr=write_end)
+        finally:
+            os.close(write_end)
+        # descriptor 2 closed before the interpreter starts
+        closed = run_frieze(argv, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2))
+        for done in (piped, closed):
+            assert done.returncode == code and done.stdout == ""
 
 
 # -- the exit-code contract under random input ---------------------------------

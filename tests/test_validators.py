@@ -1,0 +1,113 @@
+"""The integer validators against the Fraction oracles, report for report.
+
+Each test asserts that ``validate_local``, ``validate_tame`` and
+``verify_all_ptolemy`` return the very report of the oracle in
+``validator_oracles``: the same rules, positions, details and order.
+"""
+
+from fractions import Fraction
+from functools import cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import validator_oracles as oracle
+from frieze import (DomainSpec, FriezeMap, build_pattern, enumerate_friezes,
+                    frieze_from_triangulation, grid_from_polygon, validate_local,
+                    validate_tame, verify_all_ptolemy)
+from frieze.triangulation import enumerate_triangulations
+
+sizes = st.integers(3, 10)
+rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+nonzero_rationals = rationals.filter(bool)
+signed_ints = st.sampled_from([-3, -2, -1, 1, 2, 3])
+#: boundaries whose nonzero-int friezes all carry negative entries, m = 4..6
+NEGATIVE_BOUNDARIES = ((-1, -1, -1, -1), (1, -1, 1, -1), (-1, 2, -1, 2),
+                       (-1, -1, -1, -1, -1), (1, 1, -1, 1, 1), (-1,) * 6)
+
+
+@cache
+def _triangulations(m):
+    return enumerate_triangulations(m)
+
+
+@cache
+def _negative_friezes():
+    return [f for b in NEGATIVE_BOUNDARIES
+            for f in enumerate_friezes(b, DomainSpec.nonzero_integers())]
+
+
+@st.composite
+def gauged(draw, weights=nonzero_rationals):
+    """c(p, q) t_p t_q for the frieze of a random triangulation and weights t."""
+    m = draw(sizes)
+    f = frieze_from_triangulation(draw(st.sampled_from(_triangulations(m))))
+    t = draw(st.lists(weights, min_size=m + 1, max_size=m + 1))
+    return FriezeMap(m, {(p, q): v * t[p] * t[q] for (p, q), v in f.pairs()})
+
+
+@st.composite
+def corrupted(draw):
+    """A gauged frieze with one or two entries moved by a nonzero rational."""
+    f = draw(gauged())
+    entries = dict(f.pairs())
+    for pair in draw(st.lists(st.sampled_from(sorted(entries)), min_size=1, max_size=2,
+                              unique=True)):
+        delta = draw(nonzero_rationals)
+        entries[pair] = entries[pair] + delta or delta  # an edge must stay nonzero
+    return FriezeMap(f.m, entries)
+
+
+@st.composite
+def built(draw):
+    """The pattern of a random rational boundary and quiddity; mostly invalid."""
+    m = draw(sizes)
+    boundary = draw(st.lists(nonzero_rationals, min_size=m, max_size=m))
+    return build_pattern(boundary, draw(st.lists(rationals, min_size=m, max_size=m)))
+
+
+negative_friezes = st.one_of(
+    st.deferred(lambda: st.sampled_from(_negative_friezes())),
+    gauged(signed_ints).filter(lambda f: any(v < 0 for _, v in f.pairs())))
+
+
+def assert_grid_reports_match(grid):
+    assert validate_local(grid) == oracle.validate_local(grid)
+    assert validate_tame(grid) == oracle.validate_tame(grid)
+
+
+def assert_reports_match(f):
+    assert_grid_reports_match(grid_from_polygon(f))
+    assert verify_all_ptolemy(f) == oracle.verify_all_ptolemy(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gauged())
+def test_gauged_friezes_match_oracles(f):
+    assert_reports_match(f)
+    assert verify_all_ptolemy(f).ok
+
+
+@settings(max_examples=100, deadline=None)
+@given(corrupted())
+def test_corrupted_friezes_match_oracles(f):
+    assert_reports_match(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(built())
+def test_built_patterns_match_oracles(grid):
+    assert_grid_reports_match(grid)
+    m = grid.m
+    entries = {(p, q): grid.entry(p, q) for p in range(1, m) for q in range(p + 1, m + 1)}
+    if entries[(1, m)] != 0:  # read as a polygon map, whatever the glide says
+        f = FriezeMap(m, entries)
+        assert verify_all_ptolemy(f) == oracle.verify_all_ptolemy(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(negative_friezes)
+def test_negative_integer_friezes_match_oracles(f):
+    assert any(v < 0 for _, v in f.pairs())
+    assert_reports_match(f)
+    assert validate_local(grid_from_polygon(f)).ok

@@ -1,0 +1,57 @@
+"""The Fraction validators, kept as oracles for the integer ones in ``frieze``.
+
+Each one reads every entry through ``PatternGrid.entry`` or
+``FriezeMap.value`` and compares exact rationals, one relation at a time.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+from frieze import ValidationReport, Violation, scalar_to_str
+
+
+def validate_local(grid) -> ValidationReport:
+    m = grid.m
+    bad = []
+    for i in range(m):
+        for j in range(i, i + m + 1):
+            lhs = (grid.entry(i, j) * grid.entry(i + 1, j + 1)
+                   - grid.entry(i, j + 1) * grid.entry(i + 1, j))
+            rhs = grid.entry(i + 1, i + m) * grid.entry(j, j + 1)
+            if lhs != rhs:
+                bad.append(Violation(
+                    "local", (i, j),
+                    f"determinant {scalar_to_str(lhs)} != {scalar_to_str(rhs)}"))
+    return ValidationReport(tuple(bad))
+
+
+def _det3(rows) -> Fraction:
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def validate_tame(grid) -> ValidationReport:
+    m = grid.m
+    bad = []
+    for i in range(m):
+        for j in range(i + 1, i + m):
+            det = _det3([
+                [grid.entry(i + di, j + dj) for dj in range(3)]
+                for di in range(3)
+            ])
+            if det != 0:
+                bad.append(Violation(
+                    "tame", (i, j), f"3x3 determinant {scalar_to_str(det)} != 0"))
+    return ValidationReport(tuple(bad))
+
+
+def verify_all_ptolemy(f) -> ValidationReport:
+    bad = []
+    for i, j, k, l in combinations(range(1, f.m + 1), 4):
+        lhs = f.value(i, k) * f.value(j, l)
+        rhs = f.value(i, l) * f.value(j, k) + f.value(i, j) * f.value(k, l)
+        if lhs != rhs:
+            bad.append(Violation(
+                "ptolemy", (i, j, k, l),
+                f"{scalar_to_str(lhs)} != {scalar_to_str(rhs)}"))
+    return ValidationReport(tuple(bad))
