@@ -13,7 +13,8 @@ from .core import (ZERO_ENTRY, FriezeMap, PatternGrid, ValidationReport,
                    Violation, check_glide, frieze_from_json, frieze_to_json,
                    grid_from_polygon, normalize_index, scale, to_polygon,
                    validate_local, validate_tame)
-from .enumeration import BoundData, enumerate_friezes, quiddity_bound
+from .enumeration import (BoundData, EnumerationBudgetExceeded, enumerate_friezes,
+                          quiddity_bound)
 from .propagation import (TAU, Mat2, build_pattern,
                           closes_to_negative_identity, closure_product,
                           entry_via_product, eta, mu, propagate_row)
@@ -30,7 +31,7 @@ from .triangulation import (Triangulation, accordion, cc_labels_from,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundData", "CoeffTuple", "DomainSpec", "FriezeMap", "Mat2",
+    "BoundData", "CoeffTuple", "DomainSpec", "EnumerationBudgetExceeded", "FriezeMap", "Mat2",
     "PatternGrid", "Scalar", "TAU", "Triangulation", "ValidationReport",
     "Violation", "ZERO_ENTRY", "accordion", "as_scalar", "build_pattern",
     "cc_labels_from", "check_glide", "classify_triangle",

@@ -18,7 +18,7 @@ import sys
 from .classify import classify_triangle, realize_triangle
 from .core import (check_glide, frieze_from_json, frieze_to_json, grid_from_polygon,
                    to_polygon, validate_local, validate_tame)
-from .enumeration import enumerate_friezes, enumeration_summary
+from .enumeration import MAX_NODES, enumerate_friezes, enumeration_summary
 from .propagation import build_pattern
 from .ptolemy import verify_all_ptolemy
 from .render import render_ascii, render_svg
@@ -167,7 +167,7 @@ def _cmd_enumerate(args) -> int:
     boundary = _parse_scalars(args.boundary)
     domain = parse_domain(args.domain)
     try:
-        results = enumerate_friezes(boundary, domain)
+        results = enumerate_friezes(boundary, domain, max_nodes=args.max_nodes)
     except ValueError as exc:
         raise _ValidationFailure(str(exc)) from None
     docs = [frieze_to_json(f) for f in results]
@@ -191,6 +191,12 @@ def _cmd_render(args) -> int:
 
 _BOUNDARY_HELP = ("comma-separated scalars; write --boundary=-1,... when the "
                  "first one is negative")
+
+
+def _count(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -253,6 +259,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundary", required=True, help=_BOUNDARY_HELP)
     p.add_argument("--domain", required=True,
                    help="nat | nonzero-int | scaled:p/q | set:v1,v2,...")
+    p.add_argument("--max-nodes", type=_count, default=MAX_NODES,
+                   help=f"search budget in quiddity values tried (default {MAX_NODES}); "
+                        "past it the command exits 1")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("render", help="draw a frieze or triangulation")

@@ -8,14 +8,35 @@ each partially fixed quiddity already determining whole chunks of the
 pattern, a depth-first search with membership pruning visits every frieze
 and nothing else.
 
-Boundaries with P < 1 are handled by rescaling: enumerate the scaled
-problem over the scaled domain, then scale the results back.
+The search runs on plain ints.  The local rule is homogeneous, so scaling
+the boundary and the domain by z scales the friezes by z: a lattice
+{k f} becomes the positive or the nonzero integers under z = 1/f, and a
+finite set becomes a set of ints under the lcm of its denominators.  The
+scaled boundary has P >= 1, so B is taken for the scaled problem.  Every
+row step divides exactly or its branch is pruned, and the results are
+scaled back by 1/z.
+
+Two facts pin most of the quiddity instead of trying every candidate:
+
+* Glide pins.  Every frieze has c(i, j) = c(j, i + m), so an entry whose
+  mirror is already filled must equal it.  The closing zero
+  c(i, i + m) = c(i, i) is the simplest such pin.
+* Solved levels.  Fixing q[level] appends c(i, level + 2) to the rows
+  that reached column level + 1.  When one of these entries has a filled
+  mirror t, the row step (q y - d x) / e = t gives q = (e t + d x) / y by
+  one exact division.  Only the levels without such a target loop over
+  the candidates; with this fill order those are the first m - 3.
+
+``max_nodes`` caps the quiddity values tried; past it the search raises
+:class:`EnumerationBudgetExceeded`, a ``ValueError``.  The CLI passes
+:data:`MAX_NODES` unless told otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from math import lcm
+from typing import Callable, NamedTuple, Sequence
 
 from .core import FriezeMap, PatternGrid, check_glide, scale, to_polygon
 from .propagation import _step, closes_to_negative_identity
@@ -53,6 +74,14 @@ def quiddity_bound(boundary: Sequence, min_modulus) -> BoundData:
     return BoundData(P=big_p, M=big_m, n=n, B=bound)
 
 
+#: Default node budget of ``frieze enumerate``: quiddity values tried.
+MAX_NODES = 1_000_000
+
+
+class EnumerationBudgetExceeded(ValueError):
+    """The search would try more quiddity values than its ``max_nodes`` budget."""
+
+
 def _forced_height_zero(d: tuple[Fraction, ...]) -> list[FriezeMap]:
     """Height 0: the boundary forces the single possible frieze."""
     m = len(d)
@@ -60,12 +89,27 @@ def _forced_height_zero(d: tuple[Fraction, ...]) -> list[FriezeMap]:
     return [to_polygon(PatternGrid(rows))]
 
 
-def enumerate_friezes(boundary: Sequence, domain: DomainSpec) -> list[FriezeMap]:
+def _integer_problem(domain: DomainSpec) -> tuple[Fraction, DomainSpec, Callable[[int], bool]]:
+    """The scale z that makes ``domain`` integral, z * domain, and a test for its nonzero ints."""
+    if domain.values is None:
+        z = 1 / domain.factor
+    else:
+        z = Fraction(lcm(*(v.denominator for v in domain.values)))
+    scaled = domain.scaled(z)
+    if scaled.values is not None:
+        return z, scaled, frozenset(int(v) for v in scaled.values if v != 0).__contains__
+    return z, scaled, (lambda x: x != 0) if scaled.signed else (lambda x: x >= 1)
+
+
+def enumerate_friezes(boundary: Sequence, domain: DomainSpec,
+                      max_nodes: int | None = None) -> list[FriezeMap]:
     """All friezes over ``domain`` minus zero with the given boundary sequence.
 
     The list is complete, duplicate-free and canonically sorted.  Interior
     zeros are excluded even when the domain contains 0: allowing them is
-    exactly what makes the count infinite.
+    exactly what makes the count infinite.  With ``max_nodes`` set, the
+    search raises :class:`EnumerationBudgetExceeded` instead of trying more
+    than that many quiddity values.
     """
     d = tuple(as_scalar(x) for x in boundary)
     if len(d) < 3:
@@ -76,69 +120,79 @@ def enumerate_friezes(boundary: Sequence, domain: DomainSpec) -> list[FriezeMap]
         if x not in domain:
             raise ValueError(f"boundary entry {x} lies outside the domain")
 
-    big_p = max(abs(x) for x in d)
-    if big_p < 1:
-        z = 1 / big_p
-        rescaled = enumerate_friezes([x * z for x in d], domain.scaled(z))
-        results = [scale(f, big_p) for f in rescaled]
-        results.sort(key=FriezeMap.sort_key)
-        return results
-
     m = len(d)
     if m == 3:
         return _forced_height_zero(d)
 
-    bound = quiddity_bound(d, domain.min_modulus).B
-    candidates = domain.enumerate_bounded(bound)
-    zero = Fraction(0)
+    z, scaled, member = _integer_problem(domain)
+    dz = tuple(int(x * z) for x in d)
+    bound = quiddity_bound(dz, scaled.min_modulus).B
+    candidates = [int(v) for v in scaled.enumerate_bounded(bound)]
 
     # rows[i] holds c(i, i..i+last); extension to column j+1 consumes the
-    # quiddity entry q[(j-1) mod m], so progress is gated on how much of
-    # the quiddity is fixed.
-    results: list[FriezeMap] = []
-    quiddity: list[Fraction] = [zero] * m
+    # quiddity entry q[(j-1) mod m], starting with q[i], so progress is
+    # gated on how much of the quiddity is fixed and rows i > level wait.
+    # The glide mirror c(j+1, i+m) of that entry is rows[(j+1) mod m][i+m-j-1]
+    # once that row is long enough.
+    rows = [[0, x] for x in dz]
+    quiddity = [0] * m
+    found: list[FriezeMap] = []
+    nodes = 0
 
-    def extend_rows(rows: list[list[Fraction]], level: int) -> bool:
+    def extend_rows(level: int) -> bool:
         """Grow every row as far as the fixed quiddity allows; False = prune."""
-        for i in range(m):
+        for i in range(level + 1):
             row = rows[i]
-            while len(row) <= m:
-                j = i + len(row) - 1  # last filled column
-                if (j - 1) % m > level:
-                    break
-                nxt = _step(row[-2], row[-1], d, quiddity, j)
-                if len(row) == m:
-                    if nxt != 0:
+            j = i + len(row) - 1  # last filled column
+            while j < i + m and (j - 1) % m <= level:
+                nxt = _step(row[-2], row[-1], dz, quiddity, j)
+                mirror, offset = rows[(j + 1) % m], i + m - j - 1
+                if offset < len(mirror):  # offset 0 is the closing zero c(i, i+m)
+                    if nxt != mirror[offset]:
                         return False
-                elif nxt == 0 or nxt not in domain:
+                elif not (isinstance(nxt, int) and member(nxt)):
                     return False
                 row.append(nxt)
+                j += 1
         return True
 
-    def search(level: int, rows: list[list[Fraction]]) -> None:
+    def options(level: int) -> list[int]:
+        """q[level] solved from an entry it yields whose mirror is known, else every candidate."""
+        for i in range(level + 1):
+            row = rows[i]
+            j = i + len(row) - 1
+            if j == i + m or (j - 1) % m != level:
+                continue
+            mirror, offset = rows[(j + 1) % m], i + m - j - 1
+            if offset < len(mirror):
+                # the row step (q y - d[j] x) / d[j-1] = t, solved for q
+                q, rest = divmod(dz[(j - 1) % m] * mirror[offset] + dz[j % m] * row[-2],
+                                 row[-1])
+                return [q] if rest == 0 and member(q) else []
+        return candidates
+
+    def search(level: int) -> None:
+        nonlocal nodes
         if level == m:
             grid = PatternGrid(rows)
-            if check_glide(grid) and closes_to_negative_identity(d, quiddity):
-                results.append(to_polygon(grid))
+            if check_glide(grid) and closes_to_negative_identity(dz, quiddity):
+                found.append(to_polygon(grid))
             return
-        closing_row = level + 2 - m
-        if closing_row >= 0:
-            # the closure c(r, r+m) = 0 of row r pins this quiddity entry
-            row = rows[closing_row]
-            assert len(row) == m
-            options = [d[(closing_row - 1) % m] * row[m - 2] / row[m - 1]]
-            if options[0] not in domain:
-                return
-        else:
-            options = candidates
-        for q in options:
+        lengths = [len(rows[i]) for i in range(level + 1)]
+        for q in options(level):
+            if nodes == max_nodes:
+                raise EnumerationBudgetExceeded(
+                    f"enumeration stopped at its budget of {max_nodes} nodes: "
+                    f"{nodes} quiddity values tried, {len(found)} friezes found so far")
+            nodes += 1
             quiddity[level] = q
-            trial = [row[:] for row in rows]
-            if extend_rows(trial, level):
-                search(level + 1, trial)
+            if extend_rows(level):
+                search(level + 1)
+            for row, n in zip(rows, lengths):  # undo this trial
+                del row[n:]
 
-    seed_rows = [[zero, d[i]] for i in range(m)]
-    search(0, seed_rows)
+    search(0)
+    results = [scale(f, 1 / z) for f in found]
     results.sort(key=FriezeMap.sort_key)
     assert len(set(results)) == len(results)
     return results

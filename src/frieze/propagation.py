@@ -94,13 +94,19 @@ def _step(x, y, d: Sequence, q: Sequence, k: int):
     """c(i, k+1) from the window (x, y) = (c(i, k-1), c(i, k)): the one row recurrence.
 
     (x, y) * mu(q[k-1], d[k], d[k-1]) = (y, (q[k-1] y - d[k] x) / d[k-1]),
-    with both cycles read mod len(d).  The division is skipped when the
-    divisor is 1, so integer input stays int.
+    with both cycles read mod len(d).  The division is exact, so integer
+    input stays int: an int quotient when the divisor divides, a
+    ``Fraction`` when it leaves a remainder (``int / int`` would be a float).
     """
     m = len(d)
     e = d[(k - 1) % m]
     z = q[(k - 1) % m] * y - d[k % m] * x
-    return z if e == 1 else z / e
+    if e == 1:
+        return z
+    if isinstance(z, int) and isinstance(e, int):
+        quotient, remainder = divmod(z, e)
+        return Fraction(z, e) if remainder else quotient
+    return z / e
 
 
 def _walk(x, y, d: Sequence, q: Sequence, k: int, steps: int) -> Iterator:
@@ -124,14 +130,20 @@ def propagate_row(prev: tuple, c_prev, d_next, d_prev) -> tuple[Fraction, Fracti
     return (y, _step(x, y, (d_prev, as_scalar(d_next)), (as_scalar(c_prev),), 1))
 
 
+def _exact(value):
+    """``value`` as a rational, or as an ``int`` when it is whole, for the kernel."""
+    x = as_scalar(value)
+    return x.numerator if x.denominator == 1 else x
+
+
 def _cycles(boundary: Sequence, quiddity: Sequence) -> tuple[tuple, tuple]:
-    """Both cycles as rationals: a nonzero boundary and a quiddity of equal length >= 3."""
-    d = tuple(as_scalar(v) for v in boundary)
+    """Both cycles, whole values as ints: a nonzero boundary and a quiddity of equal length >= 3."""
+    d = tuple(_exact(v) for v in boundary)
     if len(d) < 3:
         raise ValueError("boundary sequence needs at least 3 values")
     if any(v == 0 for v in d):
         raise ValueError("boundary entries must be nonzero")
-    q = tuple(as_scalar(v) for v in quiddity)
+    q = tuple(_exact(v) for v in quiddity)
     if len(q) < 3:
         raise ValueError("quiddity cycle needs at least 3 values")
     if len(q) != len(d):
@@ -152,9 +164,7 @@ def build_pattern(boundary: Sequence, quiddity: Sequence) -> PatternGrid:
     """
     d, q = _cycles(boundary, quiddity)
     m = len(d)
-    zero = Fraction(0)
-    return PatternGrid([[zero, *_walk(-d[i - 1], zero, d, q, i, m - 1), zero]
-                        for i in range(m)])
+    return PatternGrid([[0, *_walk(-d[i - 1], 0, d, q, i, m - 1), 0] for i in range(m)])
 
 
 def closure_product(boundary: Sequence, quiddity: Sequence) -> Mat2:
@@ -191,4 +201,4 @@ def entry_via_product(boundary: Sequence, quiddity: Sequence, i: int, j: int) ->
     if not i - 1 <= j <= i + m - 1:
         raise ValueError(f"entry ({i}, {j}) is not reachable by the product formula")
     seed = -d[(i - 1) % m]
-    return [seed, Fraction(0), *_walk(seed, Fraction(0), d, q, i, j - i + 1)][-2]
+    return Fraction([seed, 0, *_walk(seed, 0, d, q, i, j - i + 1)][-2])

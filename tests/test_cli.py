@@ -142,6 +142,29 @@ def test_enumerate_command(capsys):
     assert code == 2 and json.loads(err)["error"] == "usage"
 
 
+#: ``frieze enumerate --boundary 3,7,5,3 --domain nat``: the friezes with
+#: diagonals c(1,3) = x, c(2,4) = 36/x, then the summary with B = 392
+ENUMERATE_3753 = "".join(
+    json.dumps({"m": 4, "entries": {"1,2": "7", "1,3": str(x), "1,4": "3", "2,3": "5",
+                                    "2,4": str(36 // x), "3,4": "3"}}) + "\n"
+    for x in (1, 2, 3, 4, 6, 9, 12, 18, 36)) + json.dumps(
+    {"boundary": ["3", "7", "5", "3"], "domain": "nat", "count": 9, "bound": "392"}) + "\n"
+
+
+def test_enumerate_budget(capsys):
+    argv = ["enumerate", "--boundary", "3,7,5,3", "--domain", "nat"]
+    code, stdout, err = run(capsys, *argv, "--max-nodes", "10")
+    assert code == 1 and stdout == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "validation"
+    assert record["message"].startswith("enumeration stopped at its budget of 10 nodes")
+    assert run(capsys, *argv) == (0, ENUMERATE_3753, "")
+    code, stdout, err = run(capsys, *argv, "--max-nodes=-1")
+    assert code == 2 and stdout == "" and json.loads(err)["error"] == "usage"
+
+
 def test_enumerate_validation_failure(capsys):
     code, _, err = run(capsys, "enumerate", "--boundary", "1,1,1/2,1",
                        "--domain", "nat")
@@ -333,8 +356,9 @@ def flag(name, values):
 
 scalars = st.sampled_from(["1", "-1", "1/2", "2", "3", "4", "9", "0", "-2/3", "x", "1/0", ""])
 labels = st.integers(-1, 30).map(str)
-# enumeration stays tiny: one more vertex or a coarser domain costs seconds
-enum_boundaries = csv(st.sampled_from(["1", "-1", "1/2"]), max_size=4)
+# at most 0.1 s each; six entries take seconds (1^6 over scaled:1/2 is 2^6
+# over nonzero-int)
+enum_boundaries = csv(st.sampled_from(["1", "-1", "1/2"]), max_size=5)
 domains = st.sampled_from(["nat", "nonzero-int", "scaled:1/2", "scaled-nat:1/2",
                            "set:1,2,3", "set:-1,1/2,2", "set:", "scaled:0", "galaxies"])
 COMMANDS = {

@@ -1,14 +1,22 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frieze import (DomainSpec, enumerate_friezes, enumerate_triangulations,
-                    frieze_from_triangulation, grid_from_polygon,
-                    quiddity_bound, scale, validate_local, validate_tame,
-                    verify_all_ptolemy)
+import enumeration_oracle as oracle
+from frieze import (DomainSpec, EnumerationBudgetExceeded, enumerate_friezes,
+                    enumerate_triangulations, frieze_from_triangulation,
+                    grid_from_polygon, parse_domain, quiddity_bound, scale,
+                    validate_local, validate_tame, verify_all_ptolemy)
 from frieze.enumeration import enumeration_summary
 
 NAT = DomainSpec.positive_integers()
+#: lattices with positive and negative factors, and sets with 0, a
+#: denominator and negative members
+ORACLE_DOMAINS = ("nat", "nonzero-int", "scaled:1/2", "scaled:-2/3", "scaled-nat:-1/2",
+                  "scaled-nat:2", "set:0,1,2", "set:-1,1/2,2", "set:-2,-1,1,2,3")
 
 
 def divisor_count(n):
@@ -139,3 +147,66 @@ def test_finite_set_domain_prunes_missing_divisors():
     no_36 = DomainSpec.finite_set([1, 2, 3, 4, 5, 6, 7, 9, 12, 18])
     # the (1, 36) and (36, 1) diagonal fillings need 36 in the domain
     assert len(enumerate_friezes([3, 7, 5, 3], no_36)) == 7
+
+
+def boundary_values(domain, modulus):
+    """Members of ``domain`` that the search scales to ints of modulus <= ``modulus``."""
+    if domain.values is None:
+        unit = domain.min_modulus
+    else:
+        unit = Fraction(1, lcm(*(v.denominator for v in domain.values)))
+    return domain.enumerate_bounded(modulus * unit)
+
+
+@st.composite
+def small_problems(draw):
+    """A boundary of 3..6 entries over one of ``ORACLE_DOMAINS``.
+
+    Scaled to ints, entries have modulus <= 2 up to m = 4 and modulus 1
+    beyond: the Fraction oracle takes seconds to minutes on m = 5 with an
+    entry of modulus 2, and up to 0.4 s on m = 6 at modulus 1.
+    """
+    domain = parse_domain(draw(st.sampled_from(ORACLE_DOMAINS)))
+    m = draw(st.integers(3, 6))
+    values = boundary_values(domain, 2 if m <= 4 else 1)
+    return draw(st.lists(st.sampled_from(values), min_size=m, max_size=m)), domain
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_problems())
+def test_search_matches_fraction_oracle(problem):
+    boundary, domain = problem
+    found = enumerate_friezes(boundary, domain)
+    expected = oracle.enumerate_friezes(boundary, domain)
+    assert [f._key for f in found] == [f._key for f in expected]
+    assert all(type(v) is Fraction for f in found for _, v in f.pairs())
+
+
+@pytest.mark.parametrize("m, catalan", [(8, 132), (9, 429)])
+def test_unit_boundaries_give_the_triangulation_friezes(m, catalan):
+    found = enumerate_friezes([1] * m, NAT)
+    assert len(found) == catalan
+    assert set(found) == {frieze_from_triangulation(t) for t in enumerate_triangulations(m)}
+
+
+def test_non_integral_entries_are_pruned():
+    # from height 3 on, c(i, i+3) is neither a quiddity nor a boundary entry
+    # up to glide, so it can leave the lattice while the quiddity stays in
+    # it: here a branch reaches 3/2 with every quiddity entry a positive int
+    found = enumerate_friezes([2, 2, 2, 1, 2, 2], NAT)
+    assert len(found) == 68  # as the Fraction oracle finds, in about 100 s
+    for f in found:
+        assert all(v in NAT for _, v in f.pairs())
+        grid = grid_from_polygon(f)
+        assert validate_local(grid).ok and validate_tame(grid).ok
+
+
+def test_budget_stops_the_search():
+    with pytest.raises(EnumerationBudgetExceeded,
+                       match="budget of 10 nodes: 10 quiddity values tried"):
+        enumerate_friezes([3, 7, 5, 3], NAT, max_nodes=10)
+    assert issubclass(EnumerationBudgetExceeded, ValueError)
+    full = enumerate_friezes([3, 7, 5, 3], NAT)
+    assert enumerate_friezes([3, 7, 5, 3], NAT, max_nodes=10 ** 6) == full
+    # height 0 has nothing to search
+    assert len(enumerate_friezes([2, 3, 5], NAT, max_nodes=0)) == 1

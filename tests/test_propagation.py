@@ -178,19 +178,24 @@ def test_column_propagation_on_built_grids(hexagon_frieze):
 
 @settings(deadline=None)
 @given(st.integers(min_value=3, max_value=8).flatmap(lambda m: st.tuples(
-    st.lists(small_nonzero, min_size=m, max_size=m),
-    st.lists(small, min_size=m, max_size=m))))
+    st.lists(small_nonzero | st.integers(-9, 9).filter(bool), min_size=m, max_size=m),
+    st.lists(small | st.integers(-30, 30), min_size=m, max_size=m))))
 def test_kernel_matches_mu_product_oracle(cycles):
     boundary, quiddity = cycles
     m = len(boundary)
-    assert closure_product(boundary, quiddity) \
-        == mu_prefix_products(boundary, quiddity, 1)[-1]
+    product = closure_product(boundary, quiddity)
+    assert product == mu_prefix_products(boundary, quiddity, 1)[-1]
+    assert {type(x) for x in (product.a11, product.a12, product.a21, product.a22)} \
+        == {Fraction}
     grid = build_pattern(boundary, quiddity)
+    assert {type(x) for row in grid.rows for x in row} == {Fraction}
     for i in range(m):
         seed = -boundary[(i - 1) % m]
         assert entry_via_product(boundary, quiddity, i, i - 1) == seed
+        assert type(entry_via_product(boundary, quiddity, i, i - 1)) is Fraction
         assert grid.entry(i, i - 1) == seed
         for j, product in enumerate(mu_prefix_products(boundary, quiddity, i), i):
             expected = seed * product.a11
-            assert entry_via_product(boundary, quiddity, i, j) == expected
+            entry = entry_via_product(boundary, quiddity, i, j)
+            assert entry == expected and type(entry) is Fraction
             assert grid.entry(i, j) == expected
