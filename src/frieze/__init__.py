@@ -17,7 +17,7 @@ from .enumeration import (BoundData, EnumerationBudgetExceeded, enumerate_frieze
                           quiddity_bound)
 from .propagation import (TAU, Mat2, build_pattern,
                           closes_to_negative_identity, closure_product,
-                          entry_via_product, eta, mu, propagate_row)
+                          entry_via_product, eta, mu)
 from .ptolemy import ptolemy_holds, verify_all_ptolemy
 from .render import render_ascii, render_svg
 from .scalars import (DomainSpec, Scalar, as_scalar, p_valuation, parse_domain,
@@ -42,7 +42,7 @@ __all__ = [
     "frieze_from_triangulation", "frieze_to_json", "gamma_t",
     "glue_three", "grid_from_polygon", "iceberg_descent",
     "in_coefficient_set", "mu", "normalize_index", "p_valuation",
-    "parse_domain", "propagate_row", "ptolemy_holds", "quiddity_bound",
+    "parse_domain", "ptolemy_holds", "quiddity_bound",
     "realize_triangle", "render_ascii", "render_svg", "scalar_from_str",
     "scalar_to_str", "scale", "separating_unit_triangle", "to_polygon",
     "triangle_label_gcds_divide", "triangulation_from_json",

@@ -258,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="all friezes with a boundary over a domain")
     p.add_argument("--boundary", required=True, help=_BOUNDARY_HELP)
     p.add_argument("--domain", required=True,
-                   help="nat | nonzero-int | scaled:p/q | set:v1,v2,...")
+                   help="nat | nonzero-int | scaled:p/q | scaled-nat:p/q | set:v1,v2,...")
     p.add_argument("--max-nodes", type=_count, default=MAX_NODES,
                    help=f"search budget in quiddity values tried (default {MAX_NODES}); "
                         "past it the command exits 1")

@@ -142,16 +142,6 @@ class PatternGrid:
         """q_i = c(i, i+2) for i = 0..m-1."""
         return tuple(row[2] for row in self._rows)
 
-    def replace_entry(self, i: int, j: int, value) -> PatternGrid:
-        """A copy with c(i, j) replaced; used by mutation-style tests."""
-        m = self.m
-        r, offset = i % m, j - i
-        if not 0 <= offset <= m:
-            raise ValueError("can only replace stored entries")
-        rows = [list(row) for row in self._rows]
-        rows[r][offset] = as_scalar(value)
-        return PatternGrid(rows)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PatternGrid) and self._rows == other._rows
 
@@ -319,6 +309,19 @@ class FriezeMap:
         return f"FriezeMap(m={self.m})"
 
 
+def _fold(rows, z: Fraction = Fraction(1)) -> FriezeMap:
+    """The polygon map of a glide-symmetric table, every entry divided by z.
+
+    ``rows[i]`` holds c(i, i), c(i, i+1), ... up to at least c(i, i+m-1);
+    c(p, q) for 1 <= p < q <= m is read from row p mod m.  The caller
+    vouches for the glide symmetry that makes this reading well defined.
+    Entries may be ints: z is a ``Fraction``, so every quotient is one.
+    """
+    m = len(rows)
+    return FriezeMap(m, {(p, q): rows[p % m][q - p] / z
+                         for p in range(1, m) for q in range(p + 1, m + 1)})
+
+
 def to_polygon(grid: PatternGrid) -> FriezeMap:
     """Quotient a glide-symmetric grid to its polygon map.
 
@@ -327,13 +330,7 @@ def to_polygon(grid: PatternGrid) -> FriezeMap:
     """
     if not check_glide(grid):
         raise ValueError("grid is not glide-symmetric; cannot fold onto a polygon")
-    m = grid.m
-    entries = {
-        (p, q): grid.entry(p, q)
-        for p in range(1, m)
-        for q in range(p + 1, m + 1)
-    }
-    return FriezeMap(m, entries)
+    return _fold(grid.rows)
 
 
 def grid_from_polygon(f: FriezeMap) -> PatternGrid:

@@ -13,8 +13,8 @@ the boundary and the domain by z scales the friezes by z: a lattice
 {k f} becomes the positive or the nonzero integers under z = 1/f, and a
 finite set becomes a set of ints under the lcm of its denominators.  The
 scaled boundary has P >= 1, so B is taken for the scaled problem.  Every
-row step divides exactly or its branch is pruned, and the results are
-scaled back by 1/z.
+row step divides exactly or its branch is pruned, and each result is
+divided by z as it is folded into its polygon map.
 
 Two facts pin most of the quiddity instead of trying every candidate:
 
@@ -27,6 +27,23 @@ Two facts pin most of the quiddity instead of trying every candidate:
   one exact division.  Only the levels without such a target loop over
   the candidates; with this fill order those are the first m - 3.
 
+The pins also make every completed table a frieze, so a leaf is folded
+into its polygon map with no further check:
+
+* Glide.  c(a, b) -> c(b, a + m) is an involution (apply it twice and
+  periodicity gives c(a, b) back) without fixed points, so the entries
+  fall into mirror pairs.  Each pair is compared when the later of its
+  two entries is filled; the seeds c(i, i) and c(i, i + 1) are mirrored
+  by the pinned c(i, i + m) and c(i + 1, i + m).
+* Closure.  Let T_i be the product of the m row-step factors
+  k = i .. i + m - 1.  Row i walks the window (c(i, i - 1), c(i, i)) =
+  -d_{i-1} e1 through T_i to (c(i, i + m - 1), c(i, i + m)), which the pins
+  fix at (d_{i-1}, 0) = d_{i-1} e1.  So the row vector e1 is a -1
+  eigenvector of every T_i.  T_{i+1} is T_i conjugated by its first factor
+  mu(q_{i-1}, d_i, d_{i-1}), which turns the eigenvector e1 of T_{i+1} into
+  a second one of T_i, (q_{i-1} / d_i, 1), independent of e1.  A 2x2
+  matrix with two independent -1 eigenvectors is -Id.
+
 ``max_nodes`` caps the quiddity values tried; past it the search raises
 :class:`EnumerationBudgetExceeded`, a ``ValueError``.  The CLI passes
 :data:`MAX_NODES` unless told otherwise.
@@ -38,8 +55,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
-from .core import FriezeMap, PatternGrid, check_glide, scale, to_polygon
-from .propagation import _step, closes_to_negative_identity
+from .core import FriezeMap, _fold
+from .propagation import _step
 from .scalars import DomainSpec, as_scalar, scalar_to_str
 
 
@@ -55,12 +72,13 @@ class BoundData(NamedTuple):
 def quiddity_bound(boundary: Sequence, min_modulus) -> BoundData:
     """The cap B on |quiddity entry| for the given boundary sequence.
 
-    Requires P = max |d_i| >= 1; for smaller boundaries rescale the frieze
-    first (multiply through by 1/P) and enumerate the scaled problem.
+    Requires height n >= 1, that is at least 4 boundary entries, and
+    P = max |d_i| >= 1; for smaller boundaries rescale the frieze first
+    (multiply through by 1/P) and enumerate the scaled problem.
     """
     d = [as_scalar(x) for x in boundary]
-    if len(d) < 3 or any(x == 0 for x in d):
-        raise ValueError("boundary must have >= 3 nonzero entries")
+    if len(d) < 4 or any(x == 0 for x in d):
+        raise ValueError("quiddity bound needs >= 4 nonzero boundary entries (height n >= 1)")
     big_m = as_scalar(min_modulus)
     if big_m <= 0:
         raise ValueError("the domain's minimal modulus must be positive")
@@ -80,13 +98,6 @@ MAX_NODES = 1_000_000
 
 class EnumerationBudgetExceeded(ValueError):
     """The search would try more quiddity values than its ``max_nodes`` budget."""
-
-
-def _forced_height_zero(d: tuple[Fraction, ...]) -> list[FriezeMap]:
-    """Height 0: the boundary forces the single possible frieze."""
-    m = len(d)
-    rows = [[Fraction(0), d[i], d[(i - 1) % m], Fraction(0)] for i in range(m)]
-    return [to_polygon(PatternGrid(rows))]
 
 
 def _integer_problem(domain: DomainSpec) -> tuple[Fraction, DomainSpec, Callable[[int], bool]]:
@@ -121,8 +132,8 @@ def enumerate_friezes(boundary: Sequence, domain: DomainSpec,
             raise ValueError(f"boundary entry {x} lies outside the domain")
 
     m = len(d)
-    if m == 3:
-        return _forced_height_zero(d)
+    if m == 3:  # height 0: the boundary is the whole frieze
+        return [_fold([[0, d[i], d[i - 1]] for i in range(m)])]
 
     z, scaled, member = _integer_problem(domain)
     dz = tuple(int(x * z) for x in d)
@@ -173,10 +184,8 @@ def enumerate_friezes(boundary: Sequence, domain: DomainSpec,
 
     def search(level: int) -> None:
         nonlocal nodes
-        if level == m:
-            grid = PatternGrid(rows)
-            if check_glide(grid) and closes_to_negative_identity(dz, quiddity):
-                found.append(to_polygon(grid))
+        if level == m:  # a frieze by the pins: see the module docstring
+            found.append(_fold(rows, z))
             return
         lengths = [len(rows[i]) for i in range(level + 1)]
         for q in options(level):
@@ -192,10 +201,9 @@ def enumerate_friezes(boundary: Sequence, domain: DomainSpec,
                 del row[n:]
 
     search(0)
-    results = [scale(f, 1 / z) for f in found]
-    results.sort(key=FriezeMap.sort_key)
-    assert len(set(results)) == len(results)
-    return results
+    found.sort(key=FriezeMap.sort_key)
+    assert len(set(found)) == len(found)
+    return found
 
 
 def enumeration_summary(boundary: Sequence, domain: DomainSpec,

@@ -116,20 +116,6 @@ def _walk(x, y, d: Sequence, q: Sequence, k: int, steps: int) -> Iterator:
         yield y
 
 
-def propagate_row(prev: tuple, c_prev, d_next, d_prev) -> tuple[Fraction, Fraction]:
-    """One row step: (x, y) * mu(c_prev, d_next, d_prev) = (y, next).
-
-    The first returned component always equals the second input component,
-    so iterating this slides a length-2 window along the row.
-    """
-    x, y = as_scalar(prev[0]), as_scalar(prev[1])
-    d_prev = as_scalar(d_prev)
-    if d_prev == 0:
-        raise ValueError("propagation divides by the previous boundary entry")
-    # the one step at k = 1 of the cycles d = (d_prev, d_next), q = (c_prev,)
-    return (y, _step(x, y, (d_prev, as_scalar(d_next)), (as_scalar(c_prev),), 1))
-
-
 def _exact(value):
     """``value`` as a rational, or as an ``int`` when it is whole, for the kernel."""
     x = as_scalar(value)

@@ -180,7 +180,12 @@ class DomainSpec:
 
 
 def parse_domain(text: str) -> DomainSpec:
-    """Parse the CLI domain grammar: nat | nonzero-int | scaled:p/q | set:v1,v2,..."""
+    """Parse the CLI domain grammar.
+
+    nat | nonzero-int | scaled:p/q | scaled-nat:p/q | set:v1,v2,...; the
+    multiples k p/q are taken over k != 0 for ``scaled`` and k >= 1 for
+    ``scaled-nat``.
+    """
     text = text.strip()
     if text == "nat":
         return DomainSpec.positive_integers()

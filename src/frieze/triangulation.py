@@ -29,7 +29,7 @@ class Triangulation:
     nest like brackets, so one walk with a stack of open chords checks them.
     """
 
-    __slots__ = ("m", "diagonals", "_triangles")
+    __slots__ = ("m", "diagonals")
 
     def __init__(self, m: int, diagonals: Iterable[Sequence[int]]) -> None:
         if m < 3:
@@ -54,7 +54,6 @@ class Triangulation:
             open_chords.append((p, q))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "diagonals", frozenset(diags))
-        object.__setattr__(self, "_triangles", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Triangulation is immutable")
@@ -73,18 +72,16 @@ class Triangulation:
         a face (a segment entering the triangle would cross a side), so a
         cubic scan over segment-connected triples is exact.
         """
-        if self._triangles is None:
-            faces = []
-            for a in range(1, self.m + 1):
-                for b in range(a + 1, self.m + 1):
-                    if not self.is_segment(a, b):
-                        continue
-                    for c in range(b + 1, self.m + 1):
-                        if self.is_segment(b, c) and self.is_segment(a, c):
-                            faces.append((a, b, c))
-            assert len(faces) == self.m - 2
-            object.__setattr__(self, "_triangles", tuple(faces))
-        return self._triangles
+        faces = []
+        for a in range(1, self.m + 1):
+            for b in range(a + 1, self.m + 1):
+                if not self.is_segment(a, b):
+                    continue
+                for c in range(b + 1, self.m + 1):
+                    if self.is_segment(b, c) and self.is_segment(a, c):
+                        faces.append((a, b, c))
+        assert len(faces) == self.m - 2
+        return tuple(faces)
 
     def reflected(self) -> Triangulation:
         """Mirror image under the reflection fixing vertex 1 (v -> m + 2 - v)."""

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enumeration_oracle as oracle
-from frieze import (DomainSpec, EnumerationBudgetExceeded, enumerate_friezes,
-                    enumerate_triangulations, frieze_from_triangulation,
-                    grid_from_polygon, parse_domain, quiddity_bound, scale,
-                    validate_local, validate_tame, verify_all_ptolemy)
+from frieze import (DomainSpec, EnumerationBudgetExceeded, Mat2, build_pattern,
+                    closure_product, enumerate_friezes, enumerate_triangulations,
+                    frieze_from_triangulation, grid_from_polygon, parse_domain,
+                    quiddity_bound, scale, validate_local, validate_tame,
+                    verify_all_ptolemy)
 from frieze.enumeration import enumeration_summary
 
 NAT = DomainSpec.positive_integers()
@@ -38,6 +39,8 @@ def test_quiddity_bound_rejects_small_boundary():
         quiddity_bound([1, 1, 1, 1], 0)
     with pytest.raises(ValueError):
         quiddity_bound([1, 0, 1, 1], 1)
+    with pytest.raises(ValueError, match="height n >= 1"):
+        quiddity_bound([2, 3, 5], 1)  # height 0, where B would read -475
 
 
 def test_enumerate_divisor_counts():
@@ -187,6 +190,19 @@ def test_unit_boundaries_give_the_triangulation_friezes(m, catalan):
     found = enumerate_friezes([1] * m, NAT)
     assert len(found) == catalan
     assert set(found) == {frieze_from_triangulation(t) for t in enumerate_triangulations(m)}
+
+
+def test_pins_alone_rule_out_the_sign_flipped_pentagon():
+    # the search folds every leaf without a glide or closure check, so the
+    # pins must reject the negated Conway-Coxeter quiddities: their entries
+    # are nonzero ints, and only c(i, i+m-1) = -1 != d_{i-1} gives them away
+    flipped = (-3, -1, -2, -2, -1)
+    assert closure_product([1] * 5, flipped) == Mat2.identity()
+    assert all(v != 0 for row in build_pattern([1] * 5, flipped).rows for v in row[1:-1])
+    found = enumerate_friezes([1] * 5, parse_domain("nonzero-int"))
+    assert set(found) == {frieze_from_triangulation(t) for t in enumerate_triangulations(5)}
+    assert len(found) == 5
+    assert flipped not in {f.quiddity_cycle for f in found}
 
 
 def test_non_integral_entries_are_pruned():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from frieze import (TAU, Mat2, build_pattern, closes_to_negative_identity,
                     closure_product, entry_via_product, eta,
-                    frieze_from_triangulation, mu, propagate_row, to_polygon)
+                    frieze_from_triangulation, mu, to_polygon)
 from frieze.triangulation import enumerate_triangulations
 
 small = st.fractions(min_value=-30, max_value=30, max_denominator=10)
@@ -52,24 +52,6 @@ def test_eta_inverse_identity(c, d, e):
 @given(small, small, small_nonzero)
 def test_mu_determinant(c, d, e):
     assert mu(c, d, e).det() == d / e
-
-
-def test_propagate_row_seed_steps():
-    d_prev, d_cur, c_prev = Fraction(3), Fraction(7), Fraction(9)
-    assert propagate_row((-d_prev, 0), c_prev, d_cur, d_prev) == (0, d_cur)
-    c_i = Fraction(4)
-    assert propagate_row((0, d_cur), c_i, Fraction(5), d_cur) == (d_cur, c_i)
-
-
-def test_propagate_row_walks_hexagon(hexagon_frieze):
-    d = hexagon_frieze.boundary_sequence
-    q = hexagon_frieze.quiddity_cycle
-    pair = (Fraction(0), d[1])  # (c(1,1), c(1,2))
-    seen = []
-    for j in range(2, 7):
-        pair = propagate_row(pair, q[(j - 1) % 6], d[j % 6], d[(j - 1) % 6])
-        seen.append(pair[1])
-    assert seen == [4, 3, 2, 1, 0]
 
 
 def test_build_pattern_triangle_rows():
