@@ -16,7 +16,7 @@ import os
 import sys
 
 from .classify import classify_triangle, realize_triangle
-from .core import (check_glide, frieze_from_json, frieze_to_json, grid_from_polygon,
+from .core import (frieze_from_json, frieze_to_json, grid_from_polygon,
                    to_polygon, validate_local, validate_tame)
 from .enumeration import MAX_NODES, enumerate_friezes, enumeration_summary
 from .propagation import build_pattern
@@ -104,9 +104,11 @@ def _cmd_build(args) -> int:
     if not report.ok:
         raise _ValidationFailure("pattern violates the frieze conditions",
                                  _report_detail(report))
-    if not check_glide(grid):
-        raise _ValidationFailure("pattern is not glide-symmetric")
-    _emit(json.dumps(frieze_to_json(to_polygon(grid)), indent=2) + "\n", args.output)
+    try:
+        f = to_polygon(grid)
+    except ValueError:  # raised by its glide check, the only one a build runs
+        raise _ValidationFailure("pattern is not glide-symmetric") from None
+    _emit(json.dumps(frieze_to_json(f), indent=2) + "\n", args.output)
     return EXIT_OK
 
 

@@ -218,12 +218,11 @@ def validate_tame(grid: PatternGrid) -> ValidationReport:
 
 def check_glide(grid: PatternGrid) -> bool:
     """True iff c(i, j) = c(j, i + m) for every stored entry."""
-    m = grid.m
-    return all(
-        grid.entry(i, j) == grid.entry(j, i + m)
-        for i in range(m)
-        for j in range(i, i + m + 1)
-    )
+    rows, m = grid.rows, grid.m
+    # c(i, i+o) is rows[i][o] and its mirror c(i+o, i+m) is rows[(i+o) % m][m-o]:
+    # offsets o and m-o trade places, and 0 and m hold the stored zeros.
+    return all(row[o] == rows[(i + o) % m][m - o]
+               for i, row in enumerate(rows) for o in range(1, m // 2 + 1))
 
 
 class FriezeMap:

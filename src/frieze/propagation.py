@@ -15,6 +15,7 @@ explicit product of ``mu`` matrices as the oracle for the kernel.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
 
 from .core import PatternGrid
@@ -146,11 +147,16 @@ def build_pattern(boundary: Sequence, quiddity: Sequence) -> PatternGrid:
     building never fails on mathematically inconsistent input: a quiddity
     whose propagation does not close back to zero simply leaves local-rule
     violations for the validators to report.  Division only ever happens
-    by boundary entries.
+    by boundary entries.  The row step is homogeneous of degree 1, so the
+    rows are walked on both cycles times the lcm L of their denominators,
+    where they mostly stay int, and each entry is divided back by L.
     """
     d, q = _cycles(boundary, quiddity)
     m = len(d)
-    return PatternGrid([[0, *_walk(-d[i - 1], 0, d, q, i, m - 1), 0] for i in range(m)])
+    big = lcm(*(v.denominator for v in d + q))
+    d, q = ([v.numerator * (big // v.denominator) for v in cycle] for cycle in (d, q))
+    return PatternGrid([[Fraction(x, big) for x in (0, *_walk(-d[i - 1], 0, d, q, i, m - 1), 0)]
+                        for i in range(m)])
 
 
 def closure_product(boundary: Sequence, quiddity: Sequence) -> Mat2:

@@ -17,7 +17,7 @@ from fractions import Fraction
 #: Exact rational scalar used for all frieze entries.
 Scalar = Fraction
 
-_SCALAR_RE = re.compile(r"[+-]?\d+(?:/(\d+))?")
+_SCALAR_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def as_scalar(value: int | str | Fraction) -> Fraction:
@@ -33,13 +33,14 @@ def as_scalar(value: int | str | Fraction) -> Fraction:
 
 def scalar_from_str(text: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"`` into a rational, rejecting q = 0."""
-    stripped = text.strip()
-    match = _SCALAR_RE.fullmatch(stripped)
+    match = _SCALAR_RE.fullmatch(text.strip())
     if match is None:
         raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
-    if match.group(1) is not None and int(match.group(1)) == 0:
+    numerator, denominator = match.groups()
+    denominator = 1 if denominator is None else int(denominator)
+    if denominator == 0:
         raise ValueError(f"malformed rational {text!r}: zero denominator")
-    return Fraction(stripped)
+    return Fraction(int(numerator), denominator)
 
 
 def scalar_to_str(value: int | str | Fraction) -> str:

@@ -46,6 +46,24 @@ def test_build_rejects_invalid_quiddity(capsys):
     assert any(v["rule"] == "local" for v in record["detail"])
 
 
+def test_build_checks_the_glide_once(monkeypatch, capsys):
+    calls = []
+    check_glide = frieze.core.check_glide
+
+    def counted(grid):
+        calls.append(grid)
+        return check_glide(grid)
+
+    monkeypatch.setattr(frieze.core, "check_glide", counted)
+    monkeypatch.setattr(frieze.cli, "check_glide", counted, raising=False)  # were it called
+    square = ("build", "--boundary", "3,7,5,3", "--quiddity", "4,9,4,9")
+    assert run(capsys, *square)[0] == 0 and len(calls) == 1
+    monkeypatch.setattr(frieze.core, "check_glide", lambda grid: False)
+    code, out, err = run(capsys, *square)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "validation", "message": "pattern is not glide-symmetric"}
+
+
 def test_build_usage_errors(capsys):
     code, _, err = run(capsys, "build", "--boundary", "3,x,5,3",
                        "--quiddity", "4,9,4,9")

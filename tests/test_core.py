@@ -2,9 +2,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import validator_oracles as oracle
 from frieze import (ZERO_ENTRY, FriezeMap, PatternGrid, build_pattern,
                     check_glide, frieze_from_json, frieze_to_json,
                     grid_from_polygon, normalize_index, scale, to_polygon,
@@ -104,6 +105,27 @@ def test_check_glide(hexagon_frieze):
     grid = grid_from_polygon(hexagon_frieze)
     broken = bump_entry(grid, 1, 4)
     assert not check_glide(broken)
+
+
+@st.composite
+def glide_candidates(draw):
+    """An unfolded polygon map (glide-symmetric), then maybe one entry bumped."""
+    m = draw(st.integers(3, 8))
+    f = FriezeMap(m, {(p, q): draw(nonzero) for p in range(1, m) for q in range(p + 1, m + 1)})
+    grid = grid_from_polygon(f)
+    offset = draw(st.integers(0, m + 1))
+    if 1 < offset < m - 1:
+        i = draw(st.integers(0, m - 1))
+        grid = bump_entry(grid, i, i + offset)
+    return grid
+
+
+@settings(deadline=None)
+@given(glide_candidates() | st.integers(3, 8).flatmap(lambda m: st.builds(
+    build_pattern, st.lists(nonzero, min_size=m, max_size=m),
+    st.lists(st.integers(-9, 9), min_size=m, max_size=m))))
+def test_check_glide_matches_the_entry_oracle(grid):
+    assert check_glide(grid) == oracle.check_glide(grid)
 
 
 def test_boundary_glide_identity():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frieze import (TAU, Mat2, build_pattern, closes_to_negative_identity,
@@ -11,6 +11,8 @@ from frieze.triangulation import enumerate_triangulations
 
 small = st.fractions(min_value=-30, max_value=30, max_denominator=10)
 small_nonzero = small.filter(lambda x: x != 0)
+not_whole = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(2, 9)).filter(
+    lambda x: x.denominator > 1)
 
 
 def mu_prefix_products(boundary, quiddity, i):
@@ -160,9 +162,13 @@ def test_column_propagation_on_built_grids(hexagon_frieze):
 
 @settings(deadline=None)
 @given(st.integers(min_value=3, max_value=8).flatmap(lambda m: st.tuples(
-    st.lists(small_nonzero | st.integers(-9, 9).filter(bool), min_size=m, max_size=m),
+    st.lists(small_nonzero | st.integers(-9, 9).filter(bool) | not_whole,
+             min_size=m, max_size=m),
     st.lists(small | st.integers(-30, 30), min_size=m, max_size=m))))
+@example(([Fraction(1, 2), 3, Fraction(-2, 3), Fraction(5, 4)], [1, Fraction(7, 6), -2, 5]))
+@example(([Fraction(3, 2)] * 5, [Fraction(3, 2)] * 5))
 def test_kernel_matches_mu_product_oracle(cycles):
+    """Non-integer boundaries send ``build_pattern`` through its cleared rows."""
     boundary, quiddity = cycles
     m = len(boundary)
     product = closure_product(boundary, quiddity)

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from frieze import (FriezeMap, build_pattern, frieze_from_triangulation,
+from frieze import (FriezeMap, Triangulation, build_pattern, frieze_from_triangulation,
                     grid_from_polygon, ptolemy_holds, scale, to_polygon,
                     validate_local, validate_tame, verify_all_ptolemy)
 from frieze.triangulation import enumerate_triangulations
@@ -83,18 +83,12 @@ def test_local_plus_tame_implies_ptolemy_random_m12():
         m = 12
         diagonals = _random_triangulation_diagonals(rng, m)
         tri_frieze = frieze_from_triangulation(
-            _triangulation(m, diagonals))
+            Triangulation(m, diagonals))
         grid = build_pattern(tri_frieze.boundary_sequence,
                              tri_frieze.quiddity_cycle)
         assert validate_local(grid).ok and validate_tame(grid).ok
         assert verify_all_ptolemy(to_polygon(grid)).ok
         count += 1
-
-
-def _triangulation(m, diagonals):
-    from frieze import Triangulation
-
-    return Triangulation(m, diagonals)
 
 
 def _random_triangulation_diagonals(rng, m):
@@ -116,3 +110,21 @@ def _random_triangulation_diagonals(rng, m):
 
     split(list(range(1, m + 1)))
     return diagonals
+
+
+def test_ptolemy_on_the_m400_fan():
+    """The certificate at a size the C(m, 4) scan cannot reach (10**9 quadruples).
+
+    One long diagonal moved by 1 breaks exactly the relations that hold it:
+    the other side of each is a positive label.  It lies on a vertex of the
+    pivot edges (1, 2) and (134, 135), which the third pivot misses.
+    """
+    m = 400
+    fan = frieze_from_triangulation(Triangulation(m, [(1, k) for k in range(3, m)]))
+    assert verify_all_ptolemy(fan).ok
+    entries = dict(fan.pairs())
+    entries[(2, 134)] += 1
+    report = verify_all_ptolemy(FriezeMap(m, entries))
+    rest = [v for v in range(1, m + 1) if v not in (2, 134)]
+    assert [v.at for v in report.violations] == sorted(
+        tuple(sorted((2, 134, x, y))) for x, y in combinations(rest, 2))

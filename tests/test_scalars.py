@@ -1,13 +1,47 @@
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from frieze import (DomainSpec, p_valuation, parse_domain, scalar_from_str,
                     scalar_to_str)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+
+_ORACLE_RE = re.compile(r"[+-]?\d+(?:/(\d+))?")
+
+
+def scalar_from_str_oracle(text):
+    """The parser that matched, then handed the whole text to ``Fraction(str)``."""
+    stripped = text.strip()
+    match = _ORACLE_RE.fullmatch(stripped)
+    if match is None:
+        raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
+    if match.group(1) is not None and int(match.group(1)) == 0:
+        raise ValueError(f"malformed rational {text!r}: zero denominator")
+    return Fraction(stripped)
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return type(value), value
+
+
+#: whitespace (ASCII and Unicode), signs, separators and decimal digits of
+#: several scripts (Arabic-Indic, Devanagari, mathematical double-struck)
+SCALAR_ALPHABET = " \t\n\u00a0\u2003+-_/.0123456789\u0660\u0663\u096b\U0001d7d8\U0001d7e1"
+scalar_texts = st.one_of(
+    st.text(st.sampled_from(SCALAR_ALPHABET), max_size=10),
+    st.builds("{}{}{}/{}{}".format, st.sampled_from(["", " ", "\u2003"]),
+              st.sampled_from(["", "+", "-", "--", "_"]),
+              st.text(st.sampled_from("0123456789_\u0663"), min_size=1, max_size=5),
+              st.sampled_from(["0", "00", "\u0660", "0_0", "7", "07", "-3"]),
+              st.sampled_from(["", " ", "\n", "x"])))
 
 
 def test_p_valuation_examples():
@@ -33,6 +67,19 @@ def test_scalar_arithmetic_is_exact(x, y):
 @given(rationals)
 def test_scalar_string_roundtrip(x):
     assert scalar_from_str(scalar_to_str(x)) == x
+
+
+@given(scalar_texts)
+@example("3/0")
+@example("-3/00")
+@example(" +0012/0040 ")
+@example("\u0663/\u0660")
+@example("1_000")
+@example("9" * 4301)
+@example("5/" + "7" * 4301)
+@example("9" * 4301 + "/0")
+def test_scalar_from_str_matches_the_fraction_parser(text):
+    assert _outcome(scalar_from_str, text) == _outcome(scalar_from_str_oracle, text)
 
 
 def test_scalar_parsing_rejects_junk():

@@ -59,6 +59,28 @@ def corrupted(draw):
 
 
 @st.composite
+def corrupted_at_pivots(draw):
+    """A gauged frieze with one to four entries moved, at least one on vertex 1 or 2."""
+    f = draw(gauged())
+    entries = dict(f.pairs())
+    near = [pair for pair in sorted(entries) if pair[0] <= 2]
+    pairs = {draw(st.sampled_from(near)),
+             *draw(st.lists(st.sampled_from(sorted(entries)), max_size=3))}
+    for pair in pairs:
+        delta = draw(nonzero_rationals)
+        entries[pair] = entries[pair] + delta or delta
+    return FriezeMap(f.m, entries)
+
+
+@st.composite
+def symmetric_tables(draw):
+    """Arbitrary rational labels on an m-gon, m = 3..8, with nonzero edges."""
+    m = draw(st.integers(3, 8))
+    return FriezeMap(m, {(p, q): draw(nonzero_rationals if q - p in (1, m - 1) else rationals)
+                         for p in range(1, m) for q in range(p + 1, m + 1)})
+
+
+@st.composite
 def built(draw):
     """The pattern of a random rational boundary and quiddity; mostly invalid."""
     m = draw(sizes)
@@ -92,6 +114,12 @@ def test_gauged_friezes_match_oracles(f):
 @given(corrupted())
 def test_corrupted_friezes_match_oracles(f):
     assert_reports_match(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corrupted_at_pivots() | symmetric_tables())
+def test_ptolemy_matches_the_full_scan(f):
+    assert verify_all_ptolemy(f) == oracle.verify_all_ptolemy(f)
 
 
 @settings(max_examples=100, deadline=None)

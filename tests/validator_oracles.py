@@ -1,7 +1,9 @@
 """The Fraction validators, kept as oracles for the integer ones in ``frieze``.
 
 Each one reads every entry through ``PatternGrid.entry`` or
-``FriezeMap.value`` and compares exact rationals, one relation at a time.
+``FriezeMap.value`` and compares exact rationals, one relation at a time;
+``verify_all_ptolemy`` scans all C(m, 4) quadruples, and ``check_glide``
+compares every stored entry with its mirror.
 """
 
 from fractions import Fraction
@@ -55,3 +57,12 @@ def verify_all_ptolemy(f) -> ValidationReport:
                 "ptolemy", (i, j, k, l),
                 f"{scalar_to_str(lhs)} != {scalar_to_str(rhs)}"))
     return ValidationReport(tuple(bad))
+
+
+def check_glide(grid) -> bool:
+    m = grid.m
+    return all(
+        grid.entry(i, j) == grid.entry(j, i + m)
+        for i in range(m)
+        for j in range(i, i + m + 1)
+    )
