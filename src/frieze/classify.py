@@ -17,7 +17,8 @@ from math import gcd
 from typing import Iterator, NamedTuple
 
 from .scalars import p_valuation, prime_factors
-from .triangulation import Triangulation, accordion, cc_labels_from, glue_three
+from .triangulation import (Triangulation, _accordion_size, _check_size, accordion,
+                            cc_labels_from, glue_three)
 
 
 class CoeffTuple(NamedTuple):
@@ -194,7 +195,9 @@ def realize_triangle(a: int, b: int, c: int) -> tuple[Triangulation, tuple[int, 
     pair with an accordion, glue the three pieces around a central unit
     triangle, and read the three apexes off the vertex maps.  The returned
     vertices (i, j, k) are ordered so that (c(i,j), c(j,k), c(k,i)) equals
-    (a, b, c) exactly, which is verified before returning.
+    (a, b, c) exactly, which is verified before returning.  The glued
+    polygon has m_a + m_b + m_c - 3 vertices, known from the tuple before
+    any piece is built; above ``MAX_VERTICES`` this raises ``ValueError``.
     """
     if not classify_triangle(a, b, c):
         raise ValueError(f"({a}, {b}, {c}) is not realizable")
@@ -210,6 +213,8 @@ def realize_triangle(a: int, b: int, c: int) -> tuple[Triangulation, tuple[int, 
         a1, b2 = b2, a1
     tup = iceberg_descent(CoeffTuple(a1, pb, pa - b2, b2, 0, 1))
     assert delta(tup) == (pa, pb, pc)
+    _check_size(_accordion_size(tup.a1, tup.a2) + _accordion_size(tup.b1, tup.b2)
+                + _accordion_size(tup.c1, tup.c2) - 3, f"realizing ({a}, {b}, {c})")
 
     piece_a, k_a = accordion(tup.a1, tup.a2)
     piece_b, k_b = accordion(tup.b1, tup.b2)

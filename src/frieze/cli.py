@@ -23,7 +23,7 @@ from .propagation import build_pattern
 from .ptolemy import verify_all_ptolemy
 from .render import render_ascii, render_svg
 from .scalars import parse_domain, scalar_from_str
-from .triangulation import (Triangulation, accordion, cut_subpolygon,
+from .triangulation import (MAX_VERTICES, Triangulation, accordion, cut_subpolygon,
                             frieze_from_triangulation, triangulation_from_json,
                             triangulation_to_json)
 
@@ -191,6 +191,9 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
+_SIZE_LIMIT = (f"Builds a polygon of at most {MAX_VERTICES} vertices; a larger one "
+               "exits 1 before it is built.")
+
 _BOUNDARY_HELP = ("comma-separated scalars; write --boundary=-1,... when the "
                  "first one is negative")
 
@@ -238,7 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_output(p)
     p.set_defaults(func=_cmd_cut)
 
-    p = sub.add_parser("accordion", help="triangulation showing a, b across a unit edge")
+    p = sub.add_parser("accordion", help="triangulation showing a, b across a unit edge",
+                       description=_SIZE_LIMIT)
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     add_output(p)
@@ -250,7 +254,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("c", type=int)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("realize-triangle", help="triangulation realizing (a, b, c)")
+    p = sub.add_parser("realize-triangle", help="triangulation realizing (a, b, c)",
+                       description=_SIZE_LIMIT)
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("c", type=int)

@@ -230,10 +230,12 @@ class FriezeMap:
 
     Entries are stored for unordered pairs {p, q} with 1 <= p < q <= m and
     looked up symmetrically; c(v, v) reads as 0 but is never stored.  The
-    map is immutable, hence safe to share between threads.
+    map is immutable, hence safe to share between threads: the sort key is
+    filled in on first use, but it is a pure function of the entries, so a
+    race only stores equal values.
     """
 
-    __slots__ = ("m", "_entries", "_key")
+    __slots__ = ("m", "_entries", "_sorted")
 
     def __init__(self, m: int, entries: Mapping[tuple[int, int], object]) -> None:
         if m < 3:
@@ -252,7 +254,7 @@ class FriezeMap:
                 raise ValueError(f"boundary entry at edge ({p}, {q}) is zero")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_entries", table)
-        object.__setattr__(self, "_key", (m, tuple(sorted(table.items()))))
+        object.__setattr__(self, "_sorted", None)  # see sort_key
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("FriezeMap is immutable")
@@ -273,7 +275,10 @@ class FriezeMap:
         return self._entries[pair]
 
     def pairs(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
-        return iter(sorted(self._entries.items()))
+        """Items in pair order: the sort key's once it is filled in, else sorted
+        and not kept, since most maps are paired once and never keyed."""
+        key = self._sorted
+        return iter(key[1] if key is not None else sorted(self._entries.items()))
 
     @property
     def boundary_sequence(self) -> tuple[Fraction, ...]:
@@ -292,17 +297,23 @@ class FriezeMap:
 
     def diagonal_items(self) -> list[tuple[tuple[int, int], Fraction]]:
         m = self.m
-        return [((p, q), v) for (p, q), v in sorted(self._entries.items())
-                if q - p not in (1, m - 1)]
+        return [((p, q), v) for (p, q), v in self.pairs() if q - p not in (1, m - 1)]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FriezeMap) and self._key == other._key
+        # equal dicts over the same pairs are exactly equal sorted item tuples
+        return (isinstance(other, FriezeMap) and self.m == other.m
+                and self._entries == other._entries)
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash(self.sort_key())
 
     def sort_key(self):
-        return self._key
+        """``(m, items sorted by pair)``, sorted on first use and kept."""
+        key = self._sorted
+        if key is None:
+            key = (self.m, tuple(sorted(self._entries.items())))
+            object.__setattr__(self, "_sorted", key)
+        return key
 
     def __repr__(self) -> str:
         return f"FriezeMap(m={self.m})"

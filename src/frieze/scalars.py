@@ -22,6 +22,11 @@ _SCALAR_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 def as_scalar(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction, or ``"p/q"`` string to an exact rational."""
+    kind = type(value)  # exact types first: isinstance on Fraction goes through ABCMeta
+    if kind is Fraction:
+        return value
+    if kind is int:
+        return Fraction(value)
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -33,6 +38,8 @@ def as_scalar(value: int | str | Fraction) -> Fraction:
 
 def scalar_from_str(text: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"`` into a rational, rejecting q = 0."""
+    if text.isdecimal():  # exactly the strings the pattern reads as an unsigned "p"
+        return Fraction(int(text))
     match = _SCALAR_RE.fullmatch(text.strip())
     if match is None:
         raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")

@@ -14,11 +14,16 @@ gluing welds marked edges onto a central unit triangle.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
 from .core import FriezeMap
 from .propagation import _walk
+
+#: Largest polygon :func:`accordion` and ``realize_triangle`` will build.  A
+#: request above it raises ``ValueError`` before anything is allocated.
+MAX_VERTICES = 100_000
 
 
 class Triangulation:
@@ -27,9 +32,10 @@ class Triangulation:
     Its segments (edges and diagonals) are exactly the pairs its classic
     frieze labels 1.  Sorted by left end, longest first, noncrossing chords
     nest like brackets, so one walk with a stack of open chords checks them.
+    The quiddity is counted once here, for every labelling walk to read.
     """
 
-    __slots__ = ("m", "diagonals")
+    __slots__ = ("m", "diagonals", "_quiddity")
 
     def __init__(self, m: int, diagonals: Iterable[Sequence[int]]) -> None:
         if m < 3:
@@ -52,8 +58,14 @@ class Triangulation:
             if open_chords and open_chords[-1][1] < q:
                 raise ValueError(f"diagonals {open_chords[-1]} and {(p, q)} cross")
             open_chords.append((p, q))
+        # quiddity[w - 1] = q(w) = 1 + the number of diagonals at vertex w
+        quiddity = [1] * m
+        for p, q in diags:
+            quiddity[p - 1] += 1
+            quiddity[q - 1] += 1
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "diagonals", frozenset(diags))
+        object.__setattr__(self, "_quiddity", tuple(quiddity))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Triangulation is immutable")
@@ -139,16 +151,10 @@ def cc_labels_from(t: Triangulation, v: int) -> list:
     m = t.m
     if not 1 <= v <= m:
         raise ValueError(f"vertex {v} outside 1..{m}")
-    # q[w - 1] is the quiddity of vertex w; the kernel reads it mod m
-    q = [1] * m
-    for diagonal in t.diagonals:
-        for w in diagonal:
-            q[w - 1] += 1
-    labels: list = [None] * (m + 1)
-    labels[v] = 0
-    for w, value in zip(range(v + 1, v + m), _walk(-1, 0, (1,) * m, q, v, m - 1)):
-        labels[(w - 1) % m + 1] = value
-    return labels
+    # row[k] = c(v, v + k); the kernel reads the quiddity mod m
+    row = [0, *_walk(-1, 0, (1,) * m, t._quiddity, v, m - 1)]
+    # rotate so that vertex w sits at index w: c(v, w) is row[(w - v) % m]
+    return [None, *row[m + 1 - v:], *row[:m + 1 - v]]
 
 
 def frieze_from_triangulation(t: Triangulation) -> FriezeMap:
@@ -156,23 +162,21 @@ def frieze_from_triangulation(t: Triangulation) -> FriezeMap:
 
     Asserts the characteristic facts along the way: the labelling is
     symmetric in its two vertices, every edge carries 1, and the non-edge
-    pairs carrying 1 are exactly the diagonals of the triangulation.
+    pairs carrying 1 are exactly the diagonals of the triangulation.  Each
+    distinct label becomes one shared ``Fraction``.
     """
     m = t.m
-    table = [cc_labels_from(t, v) for v in range(1, m + 1)]
-    entries: dict[tuple[int, int], int] = {}
-    for p in range(1, m + 1):
-        for q in range(p + 1, m + 1):
-            value = table[p - 1][q]
-            assert value == table[q - 1][p], "labelling must be symmetric"
-            entries[(p, q)] = value
-    for p in range(1, m + 1):
-        q = p % m + 1
-        assert entries[(min(p, q), max(p, q))] == 1, "edges must carry 1"
-    ones = {pair for pair, v in entries.items() if v == 1
-            and pair[1] - pair[0] != 1 and pair != (1, m)}
-    assert ones == set(t.diagonals), "unit non-edges must be the diagonals"
-    return FriezeMap(m, entries)
+    table = [cc_labels_from(t, v)[1:] for v in range(1, m + 1)]  # table[p-1][q-1] = c(p, q)
+    assert table == list(map(list, zip(*table))), "labelling must be symmetric"
+    assert all(table[p - 1][p % m] == 1 for p in range(1, m + 1)), "edges must carry 1"
+    # the edges and diagonals carry 1, so by symmetry they are all the unit
+    # pairs exactly when the table holds 1 twice for each of them
+    assert (all(table[p - 1][q - 1] == 1 for p, q in t.diagonals)
+            and sum(row.count(1) for row in table) == 2 * (2 * m - 3)), \
+        "unit non-edges must be the diagonals"
+    scalars = {value: Fraction(value) for value in set().union(*table)}
+    return FriezeMap(m, {(p, q): scalars[row[q - 1]] for p, row in enumerate(table, 1)
+                         for q in range(p + 1, m + 1)})
 
 
 def cut_subpolygon(f: FriezeMap, verts: Sequence[int]) -> FriezeMap:
@@ -206,6 +210,22 @@ def _euclid_quotients(a: int, b: int) -> list[int]:
         quotients.append(q)
         r0, r1 = r1, r
     return quotients
+
+
+def _accordion_size(a: int, b: int) -> int:
+    """Vertex count of the polygon ``accordion(a, b)`` builds, for coprime a, b >= 0.
+
+    The number line starts as the edge (1, 2) and grows by each quotient.
+    """
+    if a == 0 or b == 0:
+        return 3
+    return 2 + sum(_euclid_quotients(max(a, b), min(a, b)))
+
+
+def _check_size(m: int, what: str) -> None:
+    if m > MAX_VERTICES:
+        raise ValueError(f"{what} needs a {m}-gon, above the limit of "
+                         f"MAX_VERTICES = {MAX_VERTICES} vertices")
 
 
 def _accordion_triangulation(a: int, b: int) -> Triangulation:
@@ -248,13 +268,15 @@ def accordion(a: int, b: int) -> tuple[Triangulation, int]:
     c(k, k+1) = 1 and c(1, k+1) = b, with k + 1 read cyclically.  Needs
     gcd(a, b) = 1; the degenerate pairs (0, 1) and (1, 0) sit on a bare
     triangle.  When the direct construction places the two labels in the
-    wrong rotational order, its mirror image does the job.
+    wrong rotational order, its mirror image does the job.  Refuses a
+    polygon above :data:`MAX_VERTICES` vertices.
     """
     if a < 0 or b < 0:
         raise ValueError("accordion labels must be nonnegative")
     if gcd(a, b) != 1:
         raise ValueError(f"accordion needs coprime labels, got gcd({a}, {b}) = "
                          f"{gcd(a, b)}")
+    _check_size(_accordion_size(a, b), f"accordion({a}, {b})")
     triangle = Triangulation(3, [])
     if a == 0:
         return triangle, 1

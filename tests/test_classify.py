@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 from math import gcd
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import frieze.triangulation
 from frieze import (CoeffTuple, cc_labels_from, classify_triangle,
                     coefficient_witness, decompose_triangle, delta,
                     descent_steps, enumerate_triangulations,
@@ -229,3 +231,30 @@ def test_realize_and_decompose_large_polygon():
     a, b, c = sorted((i, j, k))
     expected = (tables[a][b], tables[b][c], tables[c][a])
     assert delta(decompose_triangle(tri, a, b, c)) == expected
+
+
+def test_realize_triangle_refuses_past_the_vertex_budget():
+    """The size read off the descended tuple is the glued polygon's, exactly:
+    a cap at m builds the m-gon, a cap at m - 1 refuses it up front."""
+    rng = random.Random(12)
+    triples = [(1, 1, 1), (1000, 999, 1), (99, 1, 1)]
+    while len(triples) < 40:
+        triple = tuple(rng.randint(1, 300) for _ in range(3))
+        if classify_triangle(*triple):
+            triples.append(triple)
+    for triple in triples:
+        m = realize_triangle(*triple)[0].m
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(frieze.triangulation, "MAX_VERTICES", m)
+            assert realize_triangle(*triple)[0].m == m
+            patch.setattr(frieze.triangulation, "MAX_VERTICES", m - 1)
+            with pytest.raises(ValueError, match=rf"^realizing \(.*\) needs a {m}-gon"):
+                realize_triangle(*triple)
+
+
+def test_realize_triangle_refuses_a_huge_polygon_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="needs a 100000004-gon, above the limit of "
+                                         "MAX_VERTICES = 100000 vertices"):
+        realize_triangle(100000000, 1, 1)
+    assert time.perf_counter() - start < 1

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -348,6 +349,33 @@ def test_closed_stderr_keeps_exit_code():
         closed = run_frieze(argv, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2))
         for done in (piped, closed):
             assert done.returncode == code and done.stdout == ""
+
+
+def _address_space_1gib():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_polygon_budget_at_the_cap():
+    """Just above MAX_VERTICES both builders exit 1 at once, without a traceback
+    (under a 1 GiB address-space limit, so a lost budget fails with a
+    MemoryError instead of swallowing the machine); at the cap they build."""
+    for argv in (["accordion", "99999", "1"], ["realize-triangle", "99997", "1", "1"],
+                 ["accordion", "100000000", "1"], ["realize-triangle", "100000000", "1", "1"]):
+        done = run_frieze(argv, stdout=subprocess.PIPE, preexec_fn=_address_space_1gib)
+        assert done.returncode == 1 and done.stdout == ""
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "validation"
+        assert "MAX_VERTICES = 100000" in lines[0]
+    for argv in (["accordion", "99998", "1"], ["realize-triangle", "99996", "1", "1"]):
+        done = run_frieze(argv, stdout=subprocess.PIPE)
+        assert done.returncode == 0 and done.stderr == ""
+        assert json.loads(done.stdout)["triangulation"]["m"] == 100000
+
+
+def test_help_names_the_polygon_budget(capsys):
+    for command in ("accordion", "realize-triangle"):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and "at most 100000 vertices" in " ".join(out.split())
 
 
 # -- the exit-code contract under random input ---------------------------------

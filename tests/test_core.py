@@ -215,6 +215,38 @@ def test_frieze_map_validation():
         FriezeMap(3, {**entries, (1, 4): 1})  # vertex out of range
 
 
+@st.composite
+def shuffled_maps(draw):
+    """(m, entries) with nonzero int and rational values in a random insertion order."""
+    m = draw(st.integers(3, 7))
+    pairs = draw(st.permutations([(p, q) for p in range(1, m + 1) for q in range(p + 1, m + 1)]))
+    values = st.one_of(nonzero, st.fractions(-5, 5, max_denominator=4).filter(bool))
+    return m, {pair: draw(values) for pair in pairs}
+
+
+@given(shuffled_maps(), st.permutations(["==", "hash", "sort_key", "pairs"]), st.data())
+def test_lazy_sort_key_matches_the_eager_key(problem, order, data):
+    """Whichever method asks first, the map answers as if keyed at construction."""
+    m, entries = problem
+    key = (m, tuple(sorted((pair, Fraction(v)) for pair, v in entries.items())))
+    f = FriezeMap(m, entries)
+    twin = FriezeMap(m, dict(reversed(entries.items())))
+    pair = data.draw(st.sampled_from(sorted(entries)))
+    bumped = FriezeMap(m, {**entries, pair: entries[pair] * 2})
+    for method in order:
+        if method == "==":
+            assert f == twin and twin == f
+            assert f != bumped and bumped != f
+        elif method == "hash":
+            assert hash(f) == hash(twin) == hash(key)
+        elif method == "sort_key":
+            assert f.sort_key() == twin.sort_key() == key
+        else:
+            assert tuple(f.pairs()) == tuple(f.pairs()) == key[1]
+            assert all(type(v) is Fraction for _, v in f.pairs())
+    assert bumped.sort_key() != key
+
+
 def test_json_roundtrip(hexagon_frieze):
     doc = json.loads(json.dumps(frieze_to_json(hexagon_frieze)))
     assert frieze_from_json(doc) == hexagon_frieze

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from frieze import (DomainSpec, p_valuation, parse_domain, scalar_from_str,
-                    scalar_to_str)
+from frieze import (DomainSpec, as_scalar, p_valuation, parse_domain,
+                    scalar_from_str, scalar_to_str)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -80,6 +80,55 @@ def test_scalar_string_roundtrip(x):
 @example("9" * 4301 + "/0")
 def test_scalar_from_str_matches_the_fraction_parser(text):
     assert _outcome(scalar_from_str, text) == _outcome(scalar_from_str_oracle, text)
+
+
+@pytest.mark.parametrize("text", ["12", "007", "\u0663\u0660", "\uff11\uff12", "\u00b2",
+                                  "1_000", " 12", "12\n", "+12", "-0", "", "9" * 4301])
+def test_scalar_from_str_fast_path_takes_only_unsigned_decimals(text):
+    assert _outcome(scalar_from_str, text) == _outcome(scalar_from_str_oracle, text)
+
+
+def as_scalar_oracle(value):
+    """``as_scalar`` as it was before its exact-type fast paths: the isinstance chain."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        return scalar_from_str(value)
+    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+class _Int(int):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
+def _coerced(coerce, value):
+    try:
+        x = coerce(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(x), x
+
+
+@given(st.one_of(st.integers(), st.booleans(), st.integers().map(_Int), rationals,
+                 rationals.map(_Fraction), scalar_texts, st.floats(), st.none()))
+@example(True)
+@example(_Int(7))
+@example(_Fraction(3, 4))
+@example(" -12/8 ")
+@example("1_000")
+@example("3/0")
+@example(1.5)
+@example(None)
+def test_as_scalar_matches_the_isinstance_chain(value):
+    assert _coerced(as_scalar, value) == _coerced(as_scalar_oracle, value)
+    if isinstance(value, Fraction):
+        assert as_scalar(value) is value
 
 
 def test_scalar_parsing_rejects_junk():

@@ -1,12 +1,17 @@
 import json
 import random
 import re
+import time
+from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from frieze import (Triangulation, accordion, cc_labels_from, cut_subpolygon,
+import frieze.triangulation
+from frieze import (FriezeMap, Triangulation, accordion, cc_labels_from, cut_subpolygon,
                     enumerate_triangulations, frieze_from_triangulation,
                     glue_three, triangle_label_gcds_divide,
                     triangulation_from_json, triangulation_to_json,
@@ -137,6 +142,28 @@ def test_diagonals_are_exactly_unit_nonedges(hexagon_fan, hexagon_frieze):
     assert unit_nonedges == set(hexagon_fan.diagonals)
 
 
+def random_triangulation(rng, m):
+    """Clip random ears off the m-gon; each clip's chord is a diagonal."""
+    ring, diagonals = list(range(1, m + 1)), []
+    while len(ring) > 3:
+        i = rng.randrange(len(ring))
+        diagonals.append((ring[i - 1], ring[(i + 1) % len(ring)]))
+        del ring[i]
+    return Triangulation(m, diagonals)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(3, 80), st.randoms(use_true_random=False))
+def test_frieze_from_triangulation_matches_the_label_table(m, rng):
+    t = random_triangulation(rng, m)
+    tables = [cc_labels_from(t, v) for v in range(1, m + 1)]
+    expected = FriezeMap(m, {(p, q): tables[p - 1][q]
+                             for p in range(1, m + 1) for q in range(p + 1, m + 1)})
+    f = frieze_from_triangulation(t)
+    assert f == expected and f.sort_key() == expected.sort_key()
+    assert all(type(v) is Fraction for _, v in f.pairs())
+
+
 def test_cut_subpolygon(hexagon_frieze):
     square = cut_subpolygon(hexagon_frieze, [1, 2, 3, 5])
     assert [int(x) for x in square.edge_values] == [1, 1, 2, 2]
@@ -192,6 +219,25 @@ def test_accordion_postcondition_coprime_pairs():
             assert (labels[kk] if kk != 1 else 0) == b
             if b >= 1:
                 assert tri.m == 2 + _euclid_quotient_sum(a, b)
+
+
+def test_accordion_refuses_past_the_vertex_budget():
+    """2 + the Euclidean quotient sum is the accordion's size, exactly."""
+    for a in range(0, 40):
+        for b in range(0, 40):
+            if gcd(a, b) != 1:
+                continue
+            m = accordion(a, b)[0].m
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(frieze.triangulation, "MAX_VERTICES", m)
+                assert accordion(a, b)[0].m == m
+                patch.setattr(frieze.triangulation, "MAX_VERTICES", m - 1)
+                with pytest.raises(ValueError, match=rf"^accordion\({a}, {b}\) needs a {m}-gon"):
+                    accordion(a, b)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="needs a 100000002-gon"):
+        accordion(100000000, 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_accordion_swapped_order():
