@@ -227,15 +227,11 @@ def realize_triangle(a: int, b: int, c: int) -> tuple[Triangulation, tuple[int, 
     vertex_k = map_a[1]
     vertex_j = map_c[1]
     vertex_i = map_b[1]
-    tables = {v: cc_labels_from(glued, v) for v in {vertex_i, vertex_j, vertex_k}}
-
-    def label(p: int, q: int) -> int:
-        return 0 if p == q else tables[p][q]
-
-    assert (label(vertex_i, vertex_j), label(vertex_j, vertex_k),
-            label(vertex_k, vertex_i)) == (pa, pb, pc)
+    label = {v: cc_labels_from(glued, v) for v in {vertex_i, vertex_j, vertex_k}}
+    assert (label[vertex_i][vertex_j], label[vertex_j][vertex_k],
+            label[vertex_k][vertex_i]) == (pa, pb, pc)
     for i, j, k in permutations((vertex_i, vertex_j, vertex_k)):
-        if (label(i, j), label(j, k), label(k, i)) == (a, b, c):
+        if (label[i][j], label[j][k], label[k][i]) == (a, b, c):
             return glued, (i, j, k)
     raise AssertionError("realized triangle does not match the request")
 
@@ -275,13 +271,8 @@ def decompose_triangle(t: Triangulation, i: int, j: int, k: int) -> CoeffTuple:
     exactly (c(i,j), c(j,k), c(k,i)).
     """
     ip, jp, kp = separating_unit_triangle(t, i, j, k)
-    tables = {v: cc_labels_from(t, v) for v in {i, j, k, ip, jp, kp}}
-
-    def value(p: int, q: int) -> int:
-        return 0 if p == q else tables[p][q]
-
-    tup = CoeffTuple(value(k, kp), value(jp, k), value(i, ip),
-                     value(kp, i), value(j, jp), value(ip, j))
+    c = {v: cc_labels_from(t, v) for v in {i, j, k, ip, jp, kp}}  # c[v][v] is 0
+    tup = CoeffTuple(c[k][kp], c[jp][k], c[i][ip], c[kp][i], c[j][jp], c[ip][j])
     assert min(tup) >= 0 and in_coefficient_set(tup)
-    assert delta(tup) == (value(i, j), value(j, k), value(k, i))
+    assert delta(tup) == (c[i][j], c[j][k], c[k][i])
     return tup

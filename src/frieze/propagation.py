@@ -15,10 +15,9 @@ explicit product of ``mu`` matrices as the oracle for the kernel.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, Sequence
 
-from .core import PatternGrid
+from .core import PatternGrid, _cleared
 from .scalars import as_scalar
 
 
@@ -95,8 +94,8 @@ def _step(x, y, d: Sequence, q: Sequence, k: int):
     """c(i, k+1) from the window (x, y) = (c(i, k-1), c(i, k)): the one row recurrence.
 
     (x, y) * mu(q[k-1], d[k], d[k-1]) = (y, (q[k-1] y - d[k] x) / d[k-1]),
-    with both cycles read mod len(d).  The division is exact, so integer
-    input stays int: an int quotient when the divisor divides, a
+    with both int cycles read mod len(d).  The division is exact: an int
+    numerator gives an int quotient when the divisor divides and a
     ``Fraction`` when it leaves a remainder (``int / int`` would be a float).
     """
     m = len(d)
@@ -104,7 +103,7 @@ def _step(x, y, d: Sequence, q: Sequence, k: int):
     z = q[(k - 1) % m] * y - d[k % m] * x
     if e == 1:
         return z
-    if isinstance(z, int) and isinstance(e, int):
+    if type(z) is int:
         quotient, remainder = divmod(z, e)
         return Fraction(z, e) if remainder else quotient
     return z / e
@@ -117,25 +116,25 @@ def _walk(x, y, d: Sequence, q: Sequence, k: int, steps: int) -> Iterator:
         yield y
 
 
-def _exact(value):
-    """``value`` as a rational, or as an ``int`` when it is whole, for the kernel."""
-    x = as_scalar(value)
-    return x.numerator if x.denominator == 1 else x
+def _cycles(boundary: Sequence, quiddity: Sequence) -> tuple[int, list[int], list[int]]:
+    """The lcm L of both cycles' denominators and both cycles times L, as ints.
 
-
-def _cycles(boundary: Sequence, quiddity: Sequence) -> tuple[tuple, tuple]:
-    """Both cycles, whole values as ints: a nonzero boundary and a quiddity of equal length >= 3."""
-    d = tuple(_exact(v) for v in boundary)
+    The boundary must be nonzero and the quiddity of equal length >= 3.  The
+    row step reads the cycles only through ratios, so the cleared cycles
+    walk the same windows as the given ones.
+    """
+    d = [as_scalar(v) for v in boundary]
     if len(d) < 3:
         raise ValueError("boundary sequence needs at least 3 values")
     if any(v == 0 for v in d):
         raise ValueError("boundary entries must be nonzero")
-    q = tuple(_exact(v) for v in quiddity)
+    q = [as_scalar(v) for v in quiddity]
     if len(q) < 3:
         raise ValueError("quiddity cycle needs at least 3 values")
     if len(q) != len(d):
         raise ValueError("boundary and quiddity must have the same length")
-    return d, q
+    big, (d, q) = _cleared((d, q))
+    return big, d, q
 
 
 def build_pattern(boundary: Sequence, quiddity: Sequence) -> PatternGrid:
@@ -147,14 +146,13 @@ def build_pattern(boundary: Sequence, quiddity: Sequence) -> PatternGrid:
     building never fails on mathematically inconsistent input: a quiddity
     whose propagation does not close back to zero simply leaves local-rule
     violations for the validators to report.  Division only ever happens
-    by boundary entries.  The row step is homogeneous of degree 1, so the
-    rows are walked on both cycles times the lcm L of their denominators,
-    where they mostly stay int, and each entry is divided back by L.
+    by boundary entries.  The rows are walked on the cleared cycles of
+    ``_cycles`` from the seed -L d_{i-1}; the step is homogeneous of
+    degree 1 in its window, so the entries come out as L c(i, j), mostly
+    ints, and each is divided back by L.
     """
-    d, q = _cycles(boundary, quiddity)
+    big, d, q = _cycles(boundary, quiddity)
     m = len(d)
-    big = lcm(*(v.denominator for v in d + q))
-    d, q = ([v.numerator * (big // v.denominator) for v in cycle] for cycle in (d, q))
     return PatternGrid([[Fraction(x, big) for x in (0, *_walk(-d[i - 1], 0, d, q, i, m - 1), 0)]
                         for i in range(m)])
 
@@ -169,7 +167,7 @@ def closure_product(boundary: Sequence, quiddity: Sequence) -> Mat2:
     downstream, hence the explicit spelling.  Row r of the product is the
     window reached by walking the unit row vector e_r over k = 1..m.
     """
-    d, q = _cycles(boundary, quiddity)
+    _, d, q = _cycles(boundary, quiddity)
     m = len(d)
     *_, a11, a12 = _walk(1, 0, d, q, 1, m)
     *_, a21, a22 = _walk(0, 1, d, q, 1, m)
@@ -186,11 +184,13 @@ def entry_via_product(boundary: Sequence, quiddity: Sequence, i: int, j: int) ->
     Valid for i - 1 <= j <= i + m - 1; the empty product at j = i - 1
     correctly returns the extended entry -d_{i-1}.  The row vector
     (-d_{i-1}, 0) times the factors k = i..j is the window
-    (c(i, j), c(i, j+1)), so this walks the row and reads its first component.
+    (c(i, j), c(i, j+1)), so this walks the row and reads its first
+    component.  The walk runs on the cleared cycles of ``_cycles`` from
+    -L d_{i-1}, so it reads L c(i, j) and divides back by L.
     """
-    d, q = _cycles(boundary, quiddity)
+    big, d, q = _cycles(boundary, quiddity)
     m = len(d)
     if not i - 1 <= j <= i + m - 1:
         raise ValueError(f"entry ({i}, {j}) is not reachable by the product formula")
     seed = -d[(i - 1) % m]
-    return Fraction([seed, 0, *_walk(seed, 0, d, q, i, j - i + 1)][-2])
+    return Fraction([seed, 0, *_walk(seed, 0, d, q, i, j - i + 1)][-2], big)

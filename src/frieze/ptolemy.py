@@ -101,7 +101,7 @@ def verify_all_ptolemy(f: FriezeMap) -> ValidationReport:
     """
     m = f.m
     table = [[0] * (m + 1) for _ in range(m + 1)]
-    for (p, q), value in f.pairs():
+    for (p, q), value in f._entries.items():  # any order fills the same table
         table[p][q] = table[q][p] = value
     big, c = _cleared(table)
     bad = []

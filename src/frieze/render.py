@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .core import FriezeMap
+from .core import FriezeMap, grid_from_polygon
 from .scalars import scalar_to_str
 from .triangulation import Triangulation, frieze_from_triangulation
 
@@ -22,15 +22,10 @@ def render_ascii(f: FriezeMap) -> str:
     shifted one column right of the row above; the infinite repetition is
     left to the imagination.
     """
-    m = f.m
-    rows = [[f.value_indexed(i, i + offset) for offset in range(m + 1)]
-            for i in range(m)]
-    width = max(len(scalar_to_str(x)) for row in rows for x in row)
-    lines = []
-    for i, row in enumerate(rows):
-        indent = " " * (i * (width + 1))
-        lines.append(indent + " ".join(scalar_to_str(x).rjust(width) for x in row))
-    return "\n".join(lines) + "\n"
+    rows = [[scalar_to_str(x) for x in row] for row in grid_from_polygon(f).rows]
+    width = max(len(text) for row in rows for text in row)
+    return "".join(" " * (i * (width + 1)) + " ".join(text.rjust(width) for text in row)
+                   + "\n" for i, row in enumerate(rows))
 
 
 def _vertex_position(m: int, v: int, radius: float, center: float) -> tuple[float, float]:

@@ -2,7 +2,9 @@
 
 It tries every domain value up to the bound B at each free level, copies
 every row for each trial, checks the glide only at the leaves, and
-rescales boundaries with P < 1 by recursing on the scaled problem.
+rescales boundaries with P < 1 by recursing on the scaled problem.  It
+carries its own ``Fraction`` row step, so changes to the package's kernel
+cannot move the oracle.
 """
 
 from __future__ import annotations
@@ -12,8 +14,13 @@ from typing import Sequence
 
 from frieze import (DomainSpec, FriezeMap, PatternGrid, check_glide,
                     closes_to_negative_identity, quiddity_bound, scale, to_polygon)
-from frieze.propagation import _step
 from frieze.scalars import as_scalar
+
+
+def _step(x, y, d: Sequence, q: Sequence, k: int) -> Fraction:
+    """c(i, k+1) from (c(i, k-1), c(i, k)): (q[k-1] y - d[k] x) / d[k-1], cycles mod m."""
+    m = len(d)
+    return (q[(k - 1) % m] * y - d[k % m] * x) / d[(k - 1) % m]
 
 
 def _forced_height_zero(d: tuple[Fraction, ...]) -> list[FriezeMap]:

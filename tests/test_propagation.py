@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from frieze import (TAU, Mat2, build_pattern, closes_to_negative_identity,
                     closure_product, entry_via_product, eta,
-                    frieze_from_triangulation, mu, to_polygon)
+                    frieze_from_triangulation, mu, scalar_to_str, to_polygon)
 from frieze.triangulation import enumerate_triangulations
 
 small = st.fractions(min_value=-30, max_value=30, max_denominator=10)
@@ -167,8 +167,9 @@ def test_column_propagation_on_built_grids(hexagon_frieze):
     st.lists(small | st.integers(-30, 30), min_size=m, max_size=m))))
 @example(([Fraction(1, 2), 3, Fraction(-2, 3), Fraction(5, 4)], [1, Fraction(7, 6), -2, 5]))
 @example(([Fraction(3, 2)] * 5, [Fraction(3, 2)] * 5))
+@example(([1, 1, 1, 1, 2], [1, 1, 1, 1, 2]))  # an int row step with a remainder
 def test_kernel_matches_mu_product_oracle(cycles):
-    """Non-integer boundaries send ``build_pattern`` through its cleared rows."""
+    """Rational cycles are cleared to ints; a row may leave the ints on the way."""
     boundary, quiddity = cycles
     m = len(boundary)
     product = closure_product(boundary, quiddity)
@@ -187,3 +188,34 @@ def test_kernel_matches_mu_product_oracle(cycles):
             entry = entry_via_product(boundary, quiddity, i, j)
             assert entry == expected and type(entry) is Fraction
             assert grid.entry(i, j) == expected
+
+
+def _spelled(values, kinds):
+    """``values`` as ``Fraction``s, ints (when whole) or scalar strings, one kind each."""
+    spell = {"str": scalar_to_str, "fraction": lambda x: x,
+             "int": lambda x: int(x) if x.denominator == 1 else x}
+    return [spell[kind](x) for x, kind in zip(values, kinds)]
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=3, max_value=7).flatmap(lambda m: st.tuples(
+    st.lists(small_nonzero, min_size=m, max_size=m), st.lists(small, min_size=m, max_size=m),
+    st.lists(st.sampled_from(("fraction", "int", "str")), min_size=2 * m, max_size=2 * m))))
+@example(([Fraction(1, 2), Fraction(3), Fraction(-2, 3)],
+          [Fraction(5, 4), Fraction(-7), Fraction(0)], ["str", "int", "fraction"] * 2))
+def test_scalar_strings_and_mixed_cycles_match_fraction_cycles(case):
+    """Strings, ints and ``Fraction``s in one cycle give the all-``Fraction`` results."""
+    boundary, quiddity, kinds = case
+    m = len(boundary)
+    expected = closure_product(boundary, quiddity)
+    entries = {(i, j): entry_via_product(boundary, quiddity, i, j)
+               for i in range(m) for j in range(i - 1, i + m)}
+    for b, q in ((_spelled(boundary, kinds), _spelled(quiddity, kinds[m:])),
+                 (_spelled(boundary, ["str"] * m), _spelled(quiddity, ["str"] * m))):
+        product = closure_product(b, q)
+        assert product == expected
+        assert [type(x) for x in (product.a11, product.a12, product.a21, product.a22)] \
+            == [type(x) for x in (expected.a11, expected.a12, expected.a21, expected.a22)]
+        for (i, j), value in entries.items():
+            entry = entry_via_product(b, q, i, j)
+            assert entry == value and type(entry) is type(value) is Fraction
