@@ -8,8 +8,9 @@ is assumed valid; the validators below certify the local determinant rule,
 tameness, and the glide symmetry.
 
 A :class:`FriezeMap` is the glide-quotiented view: one value for every
-edge and diagonal of an m-gon with vertices 1..m.  ``normalize_index`` is
-the single conversion point between grid indices and polygon pairs.
+edge and diagonal of an m-gon with vertices 1..m, kept in a symmetric
+table indexed by vertex.  ``normalize_index`` maps a grid index to its
+polygon pair; ``grid_from_polygon`` unfolds whole table rows at once.
 """
 
 from __future__ import annotations
@@ -228,33 +229,34 @@ def check_glide(grid: PatternGrid) -> bool:
 class FriezeMap:
     """A frieze with coefficients: values on all edges and diagonals of an m-gon.
 
-    Entries are stored for unordered pairs {p, q} with 1 <= p < q <= m and
-    looked up symmetrically; c(v, v) reads as 0 but is never stored.  The
-    map is immutable, hence safe to share between threads: the sort key is
-    filled in on first use, but it is a pure function of the entries, so a
-    race only stores equal values.
+    The values sit in one symmetric (m+1) x (m+1) table indexed by vertex:
+    c(p, q) = c(q, p) for vertices 1..m, zero on the diagonal, and a zero
+    row and column 0 that no vertex reads.  The map is immutable, hence
+    safe to share between threads.
     """
 
-    __slots__ = ("m", "_entries", "_sorted")
+    __slots__ = ("m", "_table")
 
     def __init__(self, m: int, entries: Mapping[tuple[int, int], object]) -> None:
         if m < 3:
             raise ValueError("polygon needs at least 3 vertices")
-        table: dict[tuple[int, int], Fraction] = {}
+        expected = m * (m - 1) // 2
+        full = len(entries) == expected  # else no table: the loop only looks for a bad pair
+        zero = Fraction(0)
+        table = [[zero] * (m + 1) for _ in range(m + 1)] if full else None
         for (p, q), value in entries.items():
             if not (1 <= p < q <= m):
                 raise ValueError(f"bad vertex pair ({p}, {q}) for m={m}")
-            table[(p, q)] = as_scalar(value)
-        expected = m * (m - 1) // 2
-        if len(table) != expected:
-            raise ValueError(f"need all {expected} vertex pairs, got {len(table)}")
+            value = as_scalar(value)
+            if full:  # distinct valid pairs, as many as there are pairs: each one once
+                table[p][q] = table[q][p] = value
+        if not full:
+            raise ValueError(f"need all {expected} vertex pairs, got {len(entries)}")
         for p in range(1, m + 1):
-            q = p % m + 1
-            if table[(min(p, q), max(p, q))] == 0:
-                raise ValueError(f"boundary entry at edge ({p}, {q}) is zero")
+            if table[p][p % m + 1] == 0:
+                raise ValueError(f"boundary entry at edge ({p}, {p % m + 1}) is zero")
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_entries", table)
-        object.__setattr__(self, "_sorted", None)  # see sort_key
+        object.__setattr__(self, "_table", table)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("FriezeMap is immutable")
@@ -263,22 +265,20 @@ class FriezeMap:
         """Symmetric lookup for vertices 1..m; equal vertices read as 0."""
         if not (1 <= p <= self.m and 1 <= q <= self.m):
             raise ValueError(f"vertices must lie in 1..{self.m}")
-        if p == q:
-            return Fraction(0)
-        return self._entries[(min(p, q), max(p, q))]
+        return self._table[p][q]
 
     def value_indexed(self, i: int, j: int) -> Fraction:
         """Grid-style lookup via :func:`normalize_index` (i <= j <= i + m)."""
         pair = normalize_index(self.m, i, j)
         if pair is ZERO_ENTRY:
             return Fraction(0)
-        return self._entries[pair]
+        return self._table[pair[0]][pair[1]]
 
     def pairs(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
-        """Items in pair order: the sort key's once it is filled in, else sorted
-        and not kept, since most maps are paired once and never keyed."""
-        key = self._sorted
-        return iter(key[1] if key is not None else sorted(self._entries.items()))
+        """Items ((p, q), c(p, q)) for 1 <= p < q <= m, in pair order."""
+        m = self.m
+        return iter([((p, q), row[q]) for p, row in enumerate(self._table[1:m], 1)
+                     for q in range(p + 1, m + 1)])
 
     @property
     def boundary_sequence(self) -> tuple[Fraction, ...]:
@@ -300,20 +300,15 @@ class FriezeMap:
         return [((p, q), v) for (p, q), v in self.pairs() if q - p not in (1, m - 1)]
 
     def __eq__(self, other) -> bool:
-        # equal dicts over the same pairs are exactly equal sorted item tuples
         return (isinstance(other, FriezeMap) and self.m == other.m
-                and self._entries == other._entries)
+                and self._table == other._table)
 
     def __hash__(self) -> int:
         return hash(self.sort_key())
 
     def sort_key(self):
-        """``(m, items sorted by pair)``, sorted on first use and kept."""
-        key = self._sorted
-        if key is None:
-            key = (self.m, tuple(sorted(self._entries.items())))
-            object.__setattr__(self, "_sorted", key)
-        return key
+        """``(m, tuple(pairs()))``: the items in pair order, built on each call."""
+        return (self.m, tuple(self.pairs()))
 
     def __repr__(self) -> str:
         return f"FriezeMap(m={self.m})"
@@ -344,12 +339,15 @@ def to_polygon(grid: PatternGrid) -> FriezeMap:
 
 
 def grid_from_polygon(f: FriezeMap) -> PatternGrid:
-    """Unfold a polygon map to one glide period of the raw pattern."""
-    m = f.m
-    return PatternGrid([
-        [f.value_indexed(i, i + offset) for offset in range(m + 1)]
-        for i in range(m)
-    ])
+    """Unfold a polygon map to one glide period of the raw pattern.
+
+    Row i holds c(v, v), ..., c(v, v+m) for the vertex v = i, or v = m
+    for i = 0 (one period on).  Up to column m that is table row v from
+    c(v, v); past it the glide c(v, j) = c(j - m, v) wraps the row around
+    to c(v, 1), ..., c(v, v).
+    """
+    m, table = f.m, f._table
+    return PatternGrid([table[v][v:] + table[v][1:v + 1] for v in (m, *range(1, m))])
 
 
 def scale(f: FriezeMap, z) -> FriezeMap:
@@ -381,7 +379,7 @@ def frieze_from_json(obj) -> FriezeMap:
     if not isinstance(obj, dict) or "m" not in obj or "entries" not in obj:
         raise ValueError("frieze JSON needs 'm' and 'entries'")
     m = obj["m"]
-    if not isinstance(m, int):
+    if type(m) is not int:
         raise ValueError("'m' must be an integer")
     raw = obj["entries"]
     if not isinstance(raw, dict):

@@ -93,17 +93,14 @@ def _suspect_quadruples(c: list[list[int]], m: int):
 def verify_all_ptolemy(f: FriezeMap) -> ValidationReport:
     """Check every strictly increasing quadruple; degenerate ones hold trivially.
 
-    The labels are cleared once into a symmetric int table, zero on the
-    diagonal; a failure's detail divides both sides back by L**2.  Only the
-    quadruples holding a suspect pair are compared (see the module
+    The map's symmetric vertex table, zero on the diagonal, is cleared
+    once into ints; a failure's detail divides both sides back by L**2.
+    Only the quadruples holding a suspect pair are compared (see the module
     docstring).  The report lists all failures in lexicographic order,
     which keeps mutation-style tests deterministic.
     """
     m = f.m
-    table = [[0] * (m + 1) for _ in range(m + 1)]
-    for (p, q), value in f._entries.items():  # any order fills the same table
-        table[p][q] = table[q][p] = value
-    big, c = _cleared(table)
+    big, c = _cleared(f._table)
     bad = []
     for i, j, k, l in _suspect_quadruples(c, m):
         ci, cj, ck = c[i], c[j], c[k]

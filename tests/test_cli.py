@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -370,6 +371,23 @@ def test_polygon_budget_at_the_cap():
         done = run_frieze(argv, stdout=subprocess.PIPE)
         assert done.returncode == 0 and done.stderr == ""
         assert json.loads(done.stdout)["triangulation"]["m"] == 100000
+
+
+def test_validate_fails_fast_on_a_huge_or_broken_map():
+    """Each input exits 2 with its one JSON line, under a 1 GiB address-space
+    limit: a map that built its m**2 table before its count check would die."""
+    cases = [({"m": 10**9, "entries": {}}, "need all 499999999500000000 vertex pairs, got 0"),
+             ({"m": 4, "entries": {**SQUARE_ENTRIES, "0,1": "1"}},
+              "bad vertex pair (0, 1) for m=4"),
+             ({"m": 4, "entries": {**SQUARE_ENTRIES, "1,4": "0"}},
+              "boundary entry at edge (4, 1) is zero")]
+    for doc, message in cases:
+        start = time.perf_counter()
+        done = run_frieze(["validate", "-"], input=json.dumps(doc), stdout=subprocess.PIPE,
+                          preexec_fn=_address_space_1gib)
+        assert time.perf_counter() - start < 1
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.splitlines() == [json.dumps({"error": "usage", "message": message})]
 
 
 def test_help_names_the_polygon_budget(capsys):

@@ -1,10 +1,16 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frieze
 import validator_oracles as oracle
 from frieze import (ZERO_ENTRY, FriezeMap, PatternGrid, build_pattern,
                     check_glide, frieze_from_json, frieze_to_json,
@@ -272,3 +278,50 @@ def test_json_loader_rejections(hexagon_frieze):
         frieze_from_json(broken)
     with pytest.raises(ValueError):
         frieze_from_json({"m": 6})
+
+
+@given(shuffled_maps())
+def test_table_matches_the_per_entry_unfold(problem):
+    """The vertex table reads back as the pair dict it was built from."""
+    m, entries = problem
+    f = FriezeMap(m, entries)
+    assert grid_from_polygon(f).rows == oracle.unfolded_rows(f)
+    assert tuple(f.pairs()) == tuple(sorted((pair, Fraction(v)) for pair, v in entries.items()))
+    for p in range(1, m + 1):
+        assert f.value(p, p) == 0
+        for q in range(1, m + 1):
+            assert f.value(p, q) == f.value(q, p)
+            assert type(f.value(p, q)) is Fraction
+    assert all(type(v) is Fraction for _, v in f.pairs())
+
+
+def test_constructor_errors_come_before_the_table():
+    """A bad pair or value is reported before a wrong count, and the count
+    before anything of size m**2 is built; a zero edge only then."""
+    # in a child capped at 1 GiB of address space, so a table built first fails alone
+    done = subprocess.run([sys.executable, "-c", "import frieze; frieze.FriezeMap(10**9, {})"],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(Path(frieze.__file__).parents[1])),
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30,) * 2))
+    assert done.stderr.splitlines()[-1] == (
+        "ValueError: need all 499999999500000000 vertex pairs, got 0")
+    square = {(1, 2): 7, (1, 3): 9, (1, 4): 3, (2, 3): 5, (2, 4): 4, (3, 4): 3}
+    for entries in ({**square, (0, 1): 1}, {(0, 1): 1}, {(0, 1): 1, **square, (1, 2): 0},
+                    {(1, 2): 7, (0, 1): 1, (1, 3): 9, (1, 4): 0, (2, 3): 5, (2, 4): 4}):
+        with pytest.raises(ValueError, match=r"^bad vertex pair \(0, 1\) for m=4$"):
+            FriezeMap(4, entries)
+    with pytest.raises(ValueError, match="malformed rational"):
+        FriezeMap(4, {(1, 2): "x", (1, 3): 9})
+    with pytest.raises(ValueError, match=r"^boundary entry at edge \(4, 1\) is zero$"):
+        FriezeMap(4, {**square, (1, 4): 0})
+    doc = {"m": 4, "entries": {f"{p},{q}": str(v) for (p, q), v in square.items()}}
+    for key, text, message in (("0,1", "1", r"^bad vertex pair \(0, 1\) for m=4$"),
+                               ("1,4", "0", r"^boundary entry at edge \(4, 1\) is zero$")):
+        with pytest.raises(ValueError, match=message):
+            frieze_from_json({**doc, "entries": {**doc["entries"], key: text}})
+
+
+def test_json_loader_wants_an_int_m():
+    for m in (True, 4.0, "4"):
+        with pytest.raises(ValueError, match=r"^'m' must be an integer$"):
+            frieze_from_json({"m": m, "entries": {}})

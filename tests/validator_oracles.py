@@ -3,13 +3,14 @@
 Each one reads every entry through ``PatternGrid.entry`` or
 ``FriezeMap.value`` and compares exact rationals, one relation at a time;
 ``verify_all_ptolemy`` scans all C(m, 4) quadruples, and ``check_glide``
-compares every stored entry with its mirror.
+compares every stored entry with its mirror.  ``unfolded_rows`` is the
+per-entry unfold of a polygon map, the oracle for ``grid_from_polygon``.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from frieze import ValidationReport, Violation, scalar_to_str
+from frieze import ZERO_ENTRY, ValidationReport, Violation, normalize_index, scalar_to_str
 
 
 def validate_local(grid) -> ValidationReport:
@@ -66,3 +67,12 @@ def check_glide(grid) -> bool:
         for i in range(m)
         for j in range(i, i + m + 1)
     )
+
+
+def unfolded_rows(f) -> tuple[tuple[Fraction, ...], ...]:
+    """Row i holds c(i, i..i+m), each entry looked up through ``normalize_index``."""
+    entries, m = dict(f.pairs()), f.m
+    return tuple(
+        tuple(0 if pair is ZERO_ENTRY else entries[pair]
+              for pair in (normalize_index(m, i, j) for j in range(i, i + m + 1)))
+        for i in range(m))
