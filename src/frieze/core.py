@@ -11,13 +11,17 @@ A :class:`FriezeMap` is the glide-quotiented view: one value for every
 edge and diagonal of an m-gon with vertices 1..m, kept in a symmetric
 table indexed by vertex.  ``normalize_index`` maps a grid index to its
 polygon pair; ``grid_from_polygon`` unfolds whole table rows at once.
+
+Both store their table cleared of denominators, (L, L * c) as ints, once
+(``_int_table``).  The homogeneous checks (local rule, tameness, glide,
+Ptolemy) run on these ints; the writers format each distinct int once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Mapping
 
 from .scalars import as_scalar, scalar_from_str, scalar_to_str
@@ -81,14 +85,16 @@ class ValidationReport:
 class PatternGrid:
     """Raw frieze pattern: m rows of m+1 entries, row i covering c(i, i..i+m).
 
-    Immutable after construction.  Row indices are read modulo m, matching
-    the periodicity of any pattern generated from an m-periodic boundary
-    and quiddity.  Structural invariants (stored zeros at both ends of each
-    row, nonzero boundary entries) are enforced here; mathematical validity
-    is a separate concern for the validators.
+    Immutable after construction, hence safe to share between threads.
+    Row indices are read modulo m, matching the periodicity of any pattern
+    generated from an m-periodic boundary and quiddity.  Structural
+    invariants (stored zeros at both ends of each row, nonzero boundary
+    entries) are enforced here; mathematical validity is a separate concern
+    for the validators.  The cleared rows, given or stored on first use (a
+    race stores equal values), take no part in equality or hashing.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_table", "_ints")
 
     def __init__(self, rows) -> None:
         table = tuple(tuple(as_scalar(x) for x in row) for row in rows)
@@ -102,20 +108,35 @@ class PatternGrid:
                 raise ValueError(f"row {i} must start and end with 0")
             if row[1] == 0:
                 raise ValueError(f"boundary entry c({i}, {i + 1}) is zero")
-        self._rows = table
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_ints", None)
+
+    @classmethod
+    def _of(cls, rows: tuple, ints) -> PatternGrid:
+        """The grid of row tuples valid by construction, with their cleared form or None."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "_table", rows)
+        object.__setattr__(grid, "_ints", ints)
+        return grid
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PatternGrid is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return PatternGrid, (self._table,)
 
     @property
     def m(self) -> int:
-        return len(self._rows)
+        return len(self._table)
 
     @property
     def n(self) -> int:
         """Height of the pattern (m - 3)."""
-        return len(self._rows) - 3
+        return len(self._table) - 3
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._rows
+        return self._table
 
     def entry(self, i: int, j: int) -> Fraction:
         """c(i, j) for any integer row i and i - 1 <= j <= i + m + 1.
@@ -126,28 +147,28 @@ class PatternGrid:
         r = i % m
         offset = j - i
         if offset == -1:
-            return -self._rows[(r - 1) % m][1]
+            return -self._table[(r - 1) % m][1]
         if offset == m + 1:
-            return -self._rows[r][1]
+            return -self._table[r][1]
         if 0 <= offset <= m:
-            return self._rows[r][offset]
+            return self._table[r][offset]
         raise ValueError(f"entry ({i}, {j}) outside the extended strip")
 
     @property
     def boundary_sequence(self) -> tuple[Fraction, ...]:
         """d_i = c(i, i+1) for i = 0..m-1."""
-        return tuple(row[1] for row in self._rows)
+        return tuple(row[1] for row in self._table)
 
     @property
     def quiddity_cycle(self) -> tuple[Fraction, ...]:
         """q_i = c(i, i+2) for i = 0..m-1."""
-        return tuple(row[2] for row in self._rows)
+        return tuple(row[2] for row in self._table)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PatternGrid) and self._rows == other._rows
+        return isinstance(other, PatternGrid) and self._table == other._table
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash(self._table)
 
     def __repr__(self) -> str:
         return f"PatternGrid(m={self.m}, n={self.n})"
@@ -155,14 +176,33 @@ class PatternGrid:
 
 def _cleared(rows) -> tuple[int, list[list[int]]]:
     """The lcm L of a table's denominators, and the table times L as ints."""
-    big = lcm(*(x.denominator for row in rows for x in row))
-    return big, [[x.numerator * (big // x.denominator) for x in row] for row in rows]
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]  # each denominator read once
+    big = lcm(*{e for row in ratios for _, e in row})
+    return big, [[n * (big // e) for n, e in row] for row in ratios]
+
+
+def _int_table(obj: PatternGrid | FriezeMap) -> tuple[int, list[list[int]]]:
+    """L and the table of a grid or map times L as ints: cleared once, then stored."""
+    ints = obj._ints
+    if ints is None:
+        ints = _cleared(obj._table)
+        object.__setattr__(obj, "_ints", ints)
+    return ints
 
 
 def _extended_rows(grid: PatternGrid) -> tuple[int, list[list[int]]]:
     """L and, per row i, L * c(i, i-1), ..., L * c(i, i+m+1) as ints."""
-    big, table = _cleared(grid.rows)
+    big, table = _int_table(grid)
     return big, [[-table[i - 1][1], *row, -row[1]] for i, row in enumerate(table)]
+
+
+def _texts(big: int, table) -> dict[int, str]:
+    """``scalar_to_str(x / L)`` for each distinct int x of a cleared table, made once."""
+    texts = dict.fromkeys(x for row in table for x in row)
+    for x in texts:
+        g = gcd(x, big)  # x / L in lowest terms is (x / g) / (L / g)
+        texts[x] = str(x // g) if g == big else f"{x // g}/{big // g}"
+    return texts
 
 
 def validate_local(grid: PatternGrid) -> ValidationReport:
@@ -219,7 +259,7 @@ def validate_tame(grid: PatternGrid) -> ValidationReport:
 
 def check_glide(grid: PatternGrid) -> bool:
     """True iff c(i, j) = c(j, i + m) for every stored entry."""
-    rows, m = grid.rows, grid.m
+    (_, rows), m = _int_table(grid), grid.m
     # c(i, i+o) is rows[i][o] and its mirror c(i+o, i+m) is rows[(i+o) % m][m-o]:
     # offsets o and m-o trade places, and 0 and m hold the stored zeros.
     return all(row[o] == rows[(i + o) % m][m - o]
@@ -232,10 +272,11 @@ class FriezeMap:
     The values sit in one symmetric (m+1) x (m+1) table indexed by vertex:
     c(p, q) = c(q, p) for vertices 1..m, zero on the diagonal, and a zero
     row and column 0 that no vertex reads.  The map is immutable, hence
-    safe to share between threads.
+    safe to share between threads.  The cleared table, stored on first use
+    (a race stores equal values), takes no part in equality or hashing.
     """
 
-    __slots__ = ("m", "_table")
+    __slots__ = ("m", "_table", "_ints")
 
     def __init__(self, m: int, entries: Mapping[tuple[int, int], object]) -> None:
         if m < 3:
@@ -257,6 +298,7 @@ class FriezeMap:
                 raise ValueError(f"boundary entry at edge ({p}, {p % m + 1}) is zero")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_ints", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("FriezeMap is immutable")
@@ -344,10 +386,13 @@ def grid_from_polygon(f: FriezeMap) -> PatternGrid:
     Row i holds c(v, v), ..., c(v, v+m) for the vertex v = i, or v = m
     for i = 0 (one period on).  Up to column m that is table row v from
     c(v, v); past it the glide c(v, j) = c(j - m, v) wraps the row around
-    to c(v, 1), ..., c(v, v).
+    to c(v, 1), ..., c(v, v).  The map's int table is sliced the same way,
+    so the grid starts out cleared.
     """
-    m, table = f.m, f._table
-    return PatternGrid([table[v][v:] + table[v][1:v + 1] for v in (m, *range(1, m))])
+    m, table, (big, ints) = f.m, f._table, _int_table(f)
+    order = (m, *range(1, m))
+    return PatternGrid._of(tuple((*table[v][v:], *table[v][1:v + 1]) for v in order),
+                           (big, [ints[v][v:] + ints[v][1:v + 1] for v in order]))
 
 
 def scale(f: FriezeMap, z) -> FriezeMap:
@@ -363,9 +408,12 @@ def scale(f: FriezeMap, z) -> FriezeMap:
 
 def frieze_to_json(f: FriezeMap) -> dict:
     """``{"m": 6, "entries": {"1,3": "4", ...}}`` with every pair present."""
+    (big, ints), m = _int_table(f), f.m
+    texts = _texts(big, ints)
     return {
-        "m": f.m,
-        "entries": {f"{p},{q}": scalar_to_str(v) for (p, q), v in f.pairs()},
+        "m": m,
+        "entries": {f"{p},{q}": texts[row[q]] for p, row in enumerate(ints[1:m], 1)
+                    for q in range(p + 1, m + 1)},
     }
 
 
@@ -385,6 +433,7 @@ def frieze_from_json(obj) -> FriezeMap:
     if not isinstance(raw, dict):
         raise ValueError("'entries' must be an object")
     entries: dict[tuple[int, int], Fraction] = {}
+    values: dict[str, Fraction] = {}  # one Fraction per distinct scalar text
     for key, text in raw.items():
         parts = key.split(",")
         if len(parts) != 2:
@@ -397,5 +446,7 @@ def frieze_from_json(obj) -> FriezeMap:
             raise ValueError(f"pair ({p}, {q}) given twice, the second time as {key!r}")
         if not isinstance(text, str):
             raise ValueError(f"entry for {key!r} must be a string scalar")
-        entries[(p, q)] = scalar_from_str(text)
+        if text not in values:
+            values[text] = scalar_from_str(text)
+        entries[(p, q)] = values[text]
     return FriezeMap(m, entries)

@@ -201,9 +201,9 @@ def enumerate_friezes(boundary: Sequence, domain: DomainSpec,
                 del row[n:]
 
     search(0)
-    found.sort(key=FriezeMap.sort_key)
-    assert len(set(found)) == len(found)
-    return found
+    keyed = sorted(((f.sort_key(), f) for f in found), key=lambda item: item[0])
+    assert all(a[0] != b[0] for a, b in zip(keyed, keyed[1:]))  # equal friezes sort together
+    return [f for _, f in keyed]
 
 
 def enumeration_summary(boundary: Sequence, domain: DomainSpec,

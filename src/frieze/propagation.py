@@ -15,6 +15,7 @@ explicit product of ``mu`` matrices as the oracle for the kernel.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Sequence
 
 from .core import PatternGrid, _cleared
@@ -123,18 +124,18 @@ def _cycles(boundary: Sequence, quiddity: Sequence) -> tuple[int, list[int], lis
     row step reads the cycles only through ratios, so the cleared cycles
     walk the same windows as the given ones.
     """
-    d = [as_scalar(v) for v in boundary]
+    big_d, (d,) = _cleared(([as_scalar(v) for v in boundary],))
     if len(d) < 3:
         raise ValueError("boundary sequence needs at least 3 values")
-    if any(v == 0 for v in d):
+    if 0 in d:
         raise ValueError("boundary entries must be nonzero")
-    q = [as_scalar(v) for v in quiddity]
+    big_q, (q,) = _cleared(([as_scalar(v) for v in quiddity],))
     if len(q) < 3:
         raise ValueError("quiddity cycle needs at least 3 values")
     if len(q) != len(d):
         raise ValueError("boundary and quiddity must have the same length")
-    big, (d, q) = _cleared((d, q))
-    return big, d, q
+    big = lcm(big_d, big_q)
+    return big, [x * (big // big_d) for x in d], [x * (big // big_q) for x in q]
 
 
 def build_pattern(boundary: Sequence, quiddity: Sequence) -> PatternGrid:
@@ -149,12 +150,17 @@ def build_pattern(boundary: Sequence, quiddity: Sequence) -> PatternGrid:
     by boundary entries.  The rows are walked on the cleared cycles of
     ``_cycles`` from the seed -L d_{i-1}; the step is homogeneous of
     degree 1 in its window, so the entries come out as L c(i, j), mostly
-    ints, and each is divided back by L.
+    ints, and each distinct one is divided back by L once.  When all are
+    ints, they are the grid's cleared rows.
     """
     big, d, q = _cycles(boundary, quiddity)
     m = len(d)
-    return PatternGrid([[Fraction(x, big) for x in (0, *_walk(-d[i - 1], 0, d, q, i, m - 1), 0)]
-                        for i in range(m)])
+    walked = [[0, *_walk(-d[i - 1], 0, d, q, i, m - 1), 0] for i in range(m)]
+    values = dict.fromkeys(x for row in walked for x in row)
+    for x in values:  # one Fraction per distinct L c(i, j)
+        values[x] = Fraction(x, big)
+    return PatternGrid._of(tuple(tuple(map(values.__getitem__, row)) for row in walked),
+                           (big, walked) if all(type(x) is int for x in values) else None)
 
 
 def closure_product(boundary: Sequence, quiddity: Sequence) -> Mat2:

@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .core import FriezeMap, ValidationReport, Violation, _cleared
+from .core import FriezeMap, ValidationReport, Violation, _int_table
 from .scalars import scalar_to_str
 
 
@@ -93,14 +93,14 @@ def _suspect_quadruples(c: list[list[int]], m: int):
 def verify_all_ptolemy(f: FriezeMap) -> ValidationReport:
     """Check every strictly increasing quadruple; degenerate ones hold trivially.
 
-    The map's symmetric vertex table, zero on the diagonal, is cleared
-    once into ints; a failure's detail divides both sides back by L**2.
+    The checks read the map's cleared symmetric vertex table, zero on the
+    diagonal, as ints; a failure's detail divides both sides back by L**2.
     Only the quadruples holding a suspect pair are compared (see the module
     docstring).  The report lists all failures in lexicographic order,
     which keeps mutation-style tests deterministic.
     """
     m = f.m
-    big, c = _cleared(f._table)
+    big, c = _int_table(f)
     bad = []
     for i, j, k, l in _suspect_quadruples(c, m):
         ci, cj, ck = c[i], c[j], c[k]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .core import FriezeMap, grid_from_polygon
+from .core import FriezeMap, _int_table, _texts, grid_from_polygon
 from .scalars import scalar_to_str
 from .triangulation import Triangulation, frieze_from_triangulation
 
@@ -22,10 +22,12 @@ def render_ascii(f: FriezeMap) -> str:
     shifted one column right of the row above; the infinite repetition is
     left to the imagination.
     """
-    rows = [[scalar_to_str(x) for x in row] for row in grid_from_polygon(f).rows]
-    width = max(len(text) for row in rows for text in row)
-    return "".join(" " * (i * (width + 1)) + " ".join(text.rjust(width) for text in row)
-                   + "\n" for i, row in enumerate(rows))
+    big, ints = _int_table(grid_from_polygon(f))
+    texts = _texts(big, ints)
+    width = max(map(len, texts.values()))
+    cells = {x: text.rjust(width) for x, text in texts.items()}
+    return "".join(" " * (i * (width + 1)) + " ".join(map(cells.__getitem__, row)) + "\n"
+                   for i, row in enumerate(ints))
 
 
 def _vertex_position(m: int, v: int, radius: float, center: float) -> tuple[float, float]:

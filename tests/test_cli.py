@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 import frieze
 import validator_oracles as oracle
-from frieze import (FriezeMap, Triangulation, frieze_from_json, frieze_from_triangulation,
-                    frieze_to_json, grid_from_polygon, triangulation_from_json)
+from frieze import (FriezeMap, Triangulation, build_pattern, check_glide, frieze_from_json,
+                    frieze_from_triangulation, frieze_to_json, grid_from_polygon,
+                    render_ascii, triangulation_from_json, validate_local, validate_tame,
+                    verify_all_ptolemy)
 from frieze.cli import main
 
 HEX_TRI = {"m": 6, "diagonals": [[2, 4], [2, 5], [2, 6]]}
@@ -64,6 +66,37 @@ def test_build_checks_the_glide_once(monkeypatch, capsys):
     code, out, err = run(capsys, *square)
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": "validation", "message": "pattern is not glide-symmetric"}
+
+
+def test_validate_clears_each_table_once(tmp_path, monkeypatch, capsys):
+    """``validate`` clears the loaded map once; the grid unfolded from it, the
+    Ptolemy check and the writers all read that one int table."""
+    hexagon = frieze_to_json(frieze_from_triangulation(Triangulation(**HEX_TRI)))
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(hexagon))
+    bad.write_text(json.dumps({**hexagon, "entries": {**hexagon["entries"], "1,4": "5/2"}}))
+    tables = []
+    cleared = frieze.core._cleared
+
+    def counted(rows):
+        tables.append(rows)
+        return cleared(rows)
+
+    monkeypatch.setattr(frieze.core, "_cleared", counted)
+    for path, code in ((good, 0), (bad, 1)):
+        tables.clear()
+        assert run(capsys, "validate", str(path))[0] == code
+        assert len(tables) == 1
+    tables.clear()
+    f = frieze_from_json(hexagon)
+    grid = grid_from_polygon(f)
+    assert validate_local(grid).ok and validate_tame(grid).ok and check_glide(grid)
+    assert verify_all_ptolemy(f).ok and frieze_to_json(f) == hexagon
+    assert render_ascii(f) == oracle.render_ascii(f)
+    assert len(tables) == 1
+    built = build_pattern([3, 7, 5, 3], [4, 9, 4, 9])  # int rows walked on int cycles
+    assert validate_local(built).ok and validate_tame(built).ok and check_glide(built)
+    assert len(tables) == 1
 
 
 def test_build_usage_errors(capsys):

@@ -1,8 +1,13 @@
+import copy
 import json
 import os
+import pickle
+import random
 import resource
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,10 +17,10 @@ from hypothesis import strategies as st
 
 import frieze
 import validator_oracles as oracle
-from frieze import (ZERO_ENTRY, FriezeMap, PatternGrid, build_pattern,
-                    check_glide, frieze_from_json, frieze_to_json,
-                    grid_from_polygon, normalize_index, scale, to_polygon,
-                    validate_local, validate_tame)
+from frieze import (ZERO_ENTRY, FriezeMap, PatternGrid, Triangulation, build_pattern,
+                    check_glide, frieze_from_json, frieze_from_triangulation,
+                    frieze_to_json, grid_from_polygon, normalize_index, render_ascii,
+                    scale, to_polygon, validate_local, validate_tame, verify_all_ptolemy)
 
 nonzero = st.integers(min_value=-9, max_value=9).filter(lambda x: x != 0)
 
@@ -325,3 +330,45 @@ def test_json_loader_wants_an_int_m():
     for m in (True, 4.0, "4"):
         with pytest.raises(ValueError, match=r"^'m' must be an integer$"):
             frieze_from_json({"m": m, "entries": {}})
+
+
+def test_pattern_grid_is_immutable(hexagon_frieze):
+    for grid in (grid_from_polygon(hexagon_frieze), PatternGrid([[0, 1, 1, 0]] * 3),
+                 build_pattern([3, 7, 5, 3], [4, 9, 4, 9])):
+        validate_local(grid)  # fills any missing int table past the guard
+        for name in ("_table", "_ints", "rows", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(grid, name, None)
+        assert validate_local(grid).ok and check_glide(grid)
+        for twin in (copy.copy(grid), copy.deepcopy(grid), pickle.loads(pickle.dumps(grid))):
+            assert twin == grid and twin.rows == grid.rows and validate_local(twin).ok
+
+
+def _shared_map_answers(f):
+    return verify_all_ptolemy(f), json.dumps(frieze_to_json(f)), render_ascii(f)
+
+
+def test_one_map_shared_by_threads():
+    """Four threads read fresh maps at once and get a lone reader's answers."""
+    rng = random.Random(12)
+    m = 20
+    fan = frieze_from_triangulation(Triangulation(m, [(1, k) for k in range(3, m)]))
+    weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(m + 1)]
+    entries = {(p, q): v * weights[p] * weights[q] for (p, q), v in fan.pairs()}
+    broken = {**entries, (3, 9): entries[(3, 9)] + 1}
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for values in [entries, broken] * 10:
+                expected = _shared_map_answers(FriezeMap(m, values))
+                f, barrier = FriezeMap(m, values), threading.Barrier(4, timeout=30)
+
+                def read():
+                    barrier.wait()
+                    return _shared_map_answers(f)
+
+                futures = [pool.submit(read) for _ in range(4)]
+                assert [future.result(timeout=60) for future in futures] == [expected] * 4
+    finally:
+        sys.setswitchinterval(switch)

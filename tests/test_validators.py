@@ -3,8 +3,11 @@
 Each test asserts that ``validate_local``, ``validate_tame`` and
 ``verify_all_ptolemy`` return the very report of the oracle in
 ``validator_oracles``: the same rules, positions, details and order.
+The checks and writers that share a grid's or map's stored int table are
+also run in shuffled orders, each twice, against the same oracles.
 """
 
+import json
 from fractions import Fraction
 from functools import cache
 
@@ -12,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import validator_oracles as oracle
-from frieze import (DomainSpec, FriezeMap, build_pattern, enumerate_friezes,
-                    frieze_from_triangulation, grid_from_polygon, validate_local,
+from frieze import (DomainSpec, FriezeMap, PatternGrid, build_pattern, check_glide,
+                    enumerate_friezes, frieze_from_json, frieze_from_triangulation,
+                    frieze_to_json, grid_from_polygon, render_ascii, validate_local,
                     validate_tame, verify_all_ptolemy)
 from frieze.triangulation import enumerate_triangulations
 
@@ -139,3 +143,79 @@ def test_negative_integer_friezes_match_oracles(f):
     assert any(v < 0 for _, v in f.pairs())
     assert_reports_match(f)
     assert validate_local(grid_from_polygon(f)).ok
+
+
+integer_friezes = sizes.flatmap(
+    lambda m: st.sampled_from(_triangulations(m))).map(frieze_from_triangulation)
+maps = integer_friezes | gauged() | corrupted() | symmetric_tables()
+
+
+@st.composite
+def grids(draw):
+    """A grid unfolded from a map, built by propagation, or given as rows."""
+    source = draw(st.sampled_from(["unfold", "build", "rows"]))
+    if source == "build":
+        return draw(built())
+    grid = grid_from_polygon(draw(maps))
+    return grid if source == "unfold" else PatternGrid(grid.rows)
+
+
+GRID_CHECKS = {"local": (validate_local, oracle.validate_local),
+               "tame": (validate_tame, oracle.validate_tame),
+               "glide": (check_glide, oracle.check_glide)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids(), st.permutations(sorted(GRID_CHECKS)))
+def test_grid_checks_in_any_order_match_oracles(grid, order):
+    """Whichever check clears the grid first, each answers as its oracle, twice."""
+    expected = {name: check(grid) for name, (_, check) in GRID_CHECKS.items()}
+    for name in [*order, *reversed(order)]:
+        assert GRID_CHECKS[name][0](grid) == expected[name]
+
+
+MAP_STEPS = {
+    "ptolemy": (verify_all_ptolemy, oracle.verify_all_ptolemy),
+    "json": (lambda f: json.dumps(frieze_to_json(f)),
+             lambda f: json.dumps(oracle.frieze_to_json(f))),
+    "ascii": (render_ascii, oracle.render_ascii),
+    "unfold": (lambda f: [check(grid_from_polygon(f)) for check, _ in GRID_CHECKS.values()],
+               lambda f: [check(PatternGrid(oracle.unfolded_rows(f)))
+                          for _, check in GRID_CHECKS.values()]),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps | negative_friezes, st.permutations(sorted(MAP_STEPS)))
+def test_map_readers_in_any_order_match_oracles(f, order):
+    """Ptolemy, the writers and the unfolded grid's checks share the map's int table."""
+    expected = {name: check(f) for name, (_, check) in MAP_STEPS.items()}
+    for name in [*order, *reversed(order)]:
+        assert MAP_STEPS[name][0](f) == expected[name]
+
+
+@st.composite
+def scalar_documents(draw):
+    """Frieze JSON with negative, non-reduced and large rationals, some repeated."""
+    m = draw(st.integers(3, 7))
+    small = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+    large = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**25))
+    value = (small | large).filter(bool)
+    palette = draw(st.lists(value, min_size=1, max_size=4))
+    entries = {}
+    for p in range(1, m):
+        for q in range(p + 1, m + 1):
+            x = draw(value | st.sampled_from(palette))
+            k = draw(st.sampled_from([1, 1, 2, 6, 10**12]))  # k > 1 leaves it unreduced
+            n, e = x.numerator * k, x.denominator * k
+            entries[f"{p},{q}"] = str(n) if e == 1 else f"{n}/{e}"
+    return {"m": m, "entries": entries}
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalar_documents())
+def test_writers_match_the_scalar_to_str_path(doc):
+    f = frieze_from_json(doc)
+    assert json.dumps(frieze_to_json(f)) == json.dumps(oracle.frieze_to_json(f))
+    assert render_ascii(f) == oracle.render_ascii(f)
+    assert frieze_from_json(frieze_to_json(f)) == f

@@ -5,6 +5,8 @@ Each one reads every entry through ``PatternGrid.entry`` or
 ``verify_all_ptolemy`` scans all C(m, 4) quadruples, and ``check_glide``
 compares every stored entry with its mirror.  ``unfolded_rows`` is the
 per-entry unfold of a polygon map, the oracle for ``grid_from_polygon``.
+``frieze_to_json`` and ``render_ascii`` format every entry with
+``scalar_to_str``, the oracles for the writers that format cleared ints.
 """
 
 from fractions import Fraction
@@ -76,3 +78,14 @@ def unfolded_rows(f) -> tuple[tuple[Fraction, ...], ...]:
         tuple(0 if pair is ZERO_ENTRY else entries[pair]
               for pair in (normalize_index(m, i, j) for j in range(i, i + m + 1)))
         for i in range(m))
+
+
+def frieze_to_json(f) -> dict:
+    return {"m": f.m, "entries": {f"{p},{q}": scalar_to_str(v) for (p, q), v in f.pairs()}}
+
+
+def render_ascii(f) -> str:
+    rows = [[scalar_to_str(x) for x in row] for row in unfolded_rows(f)]
+    width = max(len(text) for row in rows for text in row)
+    return "".join(" " * (i * (width + 1)) + " ".join(text.rjust(width) for text in row)
+                   + "\n" for i, row in enumerate(rows))
