@@ -268,7 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="nat | nonzero-int | scaled:p/q | scaled-nat:p/q | set:v1,v2,...")
     p.add_argument("--max-nodes", type=_count, default=MAX_NODES,
                    help=f"search budget in quiddity values tried (default {MAX_NODES}); "
-                        "past it the command exits 1")
+                        "only generated values are tried, those a congruence or a divisor "
+                        "lets step to integer entries; past it the command exits 1")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("render", help="draw a frieze or triangulation")

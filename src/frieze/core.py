@@ -272,8 +272,9 @@ class FriezeMap:
     The values sit in one symmetric (m+1) x (m+1) table indexed by vertex:
     c(p, q) = c(q, p) for vertices 1..m, zero on the diagonal, and a zero
     row and column 0 that no vertex reads.  The map is immutable, hence
-    safe to share between threads.  The cleared table, stored on first use
-    (a race stores equal values), takes no part in equality or hashing.
+    safe to share between threads.  The cleared table, given or stored on
+    first use (a race stores equal values), takes no part in equality or
+    hashing.
     """
 
     __slots__ = ("m", "_table", "_ints")
@@ -300,8 +301,20 @@ class FriezeMap:
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_ints", None)
 
+    @classmethod
+    def _of(cls, m: int, table: list, ints) -> FriezeMap:
+        """The map of a symmetric vertex table valid by construction, with its cleared form."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "m", m)
+        object.__setattr__(f, "_table", table)
+        object.__setattr__(f, "_ints", ints)
+        return f
+
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("FriezeMap is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return FriezeMap, (self.m, dict(self.pairs()))
 
     def value(self, p: int, q: int) -> Fraction:
         """Symmetric lookup for vertices 1..m; equal vertices read as 0."""
@@ -356,17 +369,31 @@ class FriezeMap:
         return f"FriezeMap(m={self.m})"
 
 
-def _fold(rows, z: Fraction = Fraction(1)) -> FriezeMap:
-    """The polygon map of a glide-symmetric table, every entry divided by z.
+def _fold(rows, z=1) -> FriezeMap:
+    """The polygon map of a glide-symmetric int table, every entry divided by z.
 
-    ``rows[i]`` holds c(i, i), c(i, i+1), ... up to at least c(i, i+m-1);
-    c(p, q) for 1 <= p < q <= m is read from row p mod m.  The caller
-    vouches for the glide symmetry that makes this reading well defined.
-    Entries may be ints: z is a ``Fraction``, so every quotient is one.
+    ``rows[i]`` holds ints x with c(i, i), c(i, i+1), ... = x / z up to at
+    least c(i, i+m-1), and z is a nonzero int or ``Fraction``.  Vertex row
+    p of the map is row p mod m turned by the glide, c(p, q) = c(q - m, p)
+    for q > m, into c(p, 1), ..., c(p, m).  The caller vouches for the glide
+    symmetry that makes the turned rows agree with each other.  The turned
+    rows, rescaled if need be, are the map's cleared table (L, L * c).
     """
     m = len(rows)
-    return FriezeMap(m, {(p, q): rows[p % m][q - p] / z
-                         for p in range(1, m) for q in range(p + 1, m + 1)})
+    turned = [[0] * (m + 1)]
+    for p in range(1, m + 1):
+        row = rows[p % m]
+        turned.append([0, *row[m - p + 1:m], *row[:m - p + 1]])
+    num, den = z.as_integer_ratio()
+    values = dict.fromkeys(x for row in turned for x in row)
+    g, factor = gcd(num, *values), den if num > 0 else -den
+    if g != 1 or factor != 1:  # L c = x / z * L = x / g * factor, with L = |num| / g
+        turned = [[x // g * factor for x in row] for row in turned]
+        values = dict.fromkeys(x // g * factor for x in values)
+    big = abs(num) // g
+    for x in values:  # one Fraction per distinct L c
+        values[x] = Fraction(x, big)
+    return FriezeMap._of(m, [list(map(values.__getitem__, row)) for row in turned], (big, turned))
 
 
 def to_polygon(grid: PatternGrid) -> FriezeMap:
@@ -377,7 +404,8 @@ def to_polygon(grid: PatternGrid) -> FriezeMap:
     """
     if not check_glide(grid):
         raise ValueError("grid is not glide-symmetric; cannot fold onto a polygon")
-    return _fold(grid.rows)
+    big, rows = _int_table(grid)
+    return _fold(rows, big)
 
 
 def grid_from_polygon(f: FriezeMap) -> PatternGrid:

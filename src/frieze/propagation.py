@@ -36,6 +36,9 @@ class Mat2:
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Mat2 is immutable")
 
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return Mat2, (self.a11, self.a12, self.a21, self.a22)
+
     def __mul__(self, other: Mat2) -> Mat2:
         return Mat2(
             self.a11 * other.a11 + self.a12 * other.a21,

@@ -344,6 +344,22 @@ def test_pattern_grid_is_immutable(hexagon_frieze):
             assert twin == grid and twin.rows == grid.rows and validate_local(twin).ok
 
 
+def test_maps_and_matrices_copy_and_pickle():
+    # to_polygon builds its map through the trusted FriezeMap._of; a copy is
+    # rebuilt through the validating constructor
+    negative = frieze.parse_domain("scaled-nat:-1/2")  # folded with a rescale by -2
+    maps = (to_polygon(build_pattern([3, 7, 5, 3], [4, 9, 4, 9])),
+            frieze.enumerate_friezes([Fraction(-1, 2)] * 5, negative)[0])
+    for obj in (*maps, frieze.mu(1, 1, 1)):
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert twin == obj and twin is not obj
+            with pytest.raises(AttributeError):
+                twin.extra = None
+    for f in maps:
+        twin = pickle.loads(pickle.dumps(f))
+        assert frieze_to_json(twin) == frieze_to_json(f) and verify_all_ptolemy(twin).ok
+
+
 def _shared_map_answers(f):
     return verify_all_ptolemy(f), json.dumps(frieze_to_json(f)), render_ascii(f)
 

@@ -11,7 +11,8 @@ from frieze import (DomainSpec, EnumerationBudgetExceeded, Mat2, build_pattern,
                     frieze_from_triangulation, grid_from_polygon, parse_domain,
                     quiddity_bound, scale, validate_local, validate_tame,
                     verify_all_ptolemy)
-from frieze.enumeration import enumeration_summary
+from frieze.core import _cleared
+from frieze.enumeration import MAX_NODES, enumeration_summary
 
 NAT = DomainSpec.positive_integers()
 #: lattices with positive and negative factors, and sets with 0, a
@@ -183,6 +184,37 @@ def test_search_matches_fraction_oracle(problem):
     expected = oracle.enumerate_friezes(boundary, domain)
     assert [f.sort_key() for f in found] == [f.sort_key() for f in expected]
     assert all(type(v) is Fraction for f in found for _, v in f.pairs())
+
+
+@pytest.mark.parametrize("spec, boundary", [
+    ("scaled:-2/3", "-2/3,-2/3,-2/3,-2/3,-2/3"), ("scaled:-2/3", "2/3,2/3,2/3,2/3"),
+    ("scaled:-2/3", "-2/3,2/3,-2/3,2/3,-2/3"),
+    ("scaled-nat:-1/2", "-1/2,-1/2,-1/2,-1/2,-1/2,-1/2"), ("scaled-nat:-1/2", "-1,-1/2,-1/2,-1/2")])
+def test_negative_scale_sorts_like_the_oracle(spec, boundary):
+    # the search scales these domains by z < 0, and x / z runs in the reverse order of x
+    domain, boundary = parse_domain(spec), [Fraction(x) for x in boundary.split(",")]
+    found = enumerate_friezes(boundary, domain)
+    assert len(found) >= 2
+    assert [f.sort_key() for f in found] == \
+        [f.sort_key() for f in oracle.enumerate_friezes(boundary, domain)]
+
+
+@pytest.mark.parametrize("spec, boundary", [
+    ("nat", "3,7,5,3"), ("nonzero-int", "1,1,-1,-1,1"), ("scaled:1/2", "1/2,1/2,1,1"),
+    ("scaled:-2/3", "-2/3,-2/3,-2/3,-2/3,-2/3"), ("scaled-nat:2", "2,2,2,2"), ("nat", "2,3,5")])
+def test_results_carry_their_cleared_table(spec, boundary):
+    found = enumerate_friezes([Fraction(x) for x in boundary.split(",")], parse_domain(spec))
+    assert found
+    for f in found:
+        assert f._ints == _cleared(f._table)
+
+
+@pytest.mark.parametrize("boundary, count", [((6, 1, 8, 6, 3), 31), ((2, 3, 5, 7, 11), 16)])
+def test_large_boundaries_finish_within_the_default_budget(boundary, count):
+    # B is 4,672 and 16,093: trying every candidate at each looped level overruns the budget
+    found = enumerate_friezes(boundary, NAT, max_nodes=MAX_NODES)
+    assert len(found) == count
+    assert all(f.boundary_sequence == boundary for f in found)
 
 
 @pytest.mark.parametrize("m, catalan", [(8, 132), (9, 429)])

@@ -1,15 +1,22 @@
-"""The bench tracer still finds every name it patches in the package.
+"""Checks on what stands next to the package: the bench tracer and the README.
 
 ``bench/tracer.py`` wraps functions and methods by name; a rename in
-``src/`` would otherwise only show up when the benchmark runs.
+``src/`` would otherwise only show up when the benchmark runs.  The
+README's CLI examples that name their result (``# false``, ``# exits 1``)
+are replayed, so they cannot go stale.
 """
 
+import re
+import shlex
 from pathlib import Path
 
 import frieze
-import frieze.cli  # noqa: F401  (the tracer wraps cli.main when it is loaded)
+from frieze.cli import main  # the tracer wraps cli.main when it is loaded
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+#: a README example line that names its result, ``frieze ARGS  # false`` or ``# exits N``
+EXAMPLE = re.compile(r"frieze (?P<args>[^#]+?) +# (?P<result>true|false|exits \d+)")
 
 
 def test_tracer_installs_and_restores(monkeypatch):
@@ -22,3 +29,16 @@ def test_tracer_installs_and_restores(monkeypatch):
         frieze.grid_from_polygon(frieze.frieze_from_triangulation(frieze.accordion(4, 3)[0]))
     assert (frieze.core.grid_from_polygon, frieze.Triangulation.triangles) == originals
     assert tracer.metrics()["core.grid_from_polygon.calls"] == 1
+
+
+def test_readme_cli_examples_give_their_annotated_result(capsys):
+    lines = (ROOT / "README.md").read_text().splitlines()
+    examples = [match.groups() for match in map(EXAMPLE.fullmatch, lines) if match]
+    assert len(examples) >= 2
+    for args, result in examples:
+        code = main(shlex.split(args))
+        out = capsys.readouterr().out
+        if result.startswith("exits "):
+            assert code == int(result.split()[1]), args
+        else:
+            assert (code, out) == (0, result + "\n"), args
