@@ -194,8 +194,8 @@ def enumerate_friezes(boundary: Sequence, domain: DomainSpec,
         for i in range(level + 1):
             row = rows[i]
             j = i + len(row) - 1  # last filled column
-            while j < i + m and (j - 1) % m <= level:
-                nxt = _step(row[-2], row[-1], dz, quiddity, j)
+            while j < i + m and (h := (j - 1) % m) <= level:
+                nxt = _step(row[-2], row[-1], quiddity[h], dz[j % m], dz[h])
                 mirror, offset = rows[(j + 1) % m], i + m - j - 1
                 if offset < len(mirror):  # offset 0 is the closing zero c(i, i+m)
                     if nxt != mirror[offset]:

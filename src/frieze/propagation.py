@@ -1,15 +1,15 @@
 """Propagation calculus: the 2x2 matrices that walk a frieze pattern.
 
-Two consecutive entries of a row, multiplied on the right by the matrix
-``mu(c, d, e)`` built from one quiddity value and two boundary values,
-yield the next two consecutive entries.  That row step is written once,
-in the kernel ``_step``; row building, the closure product, entry
-recovery, the enumeration search and the triangulation labels all run
-through it.  Iterating from the extended seed (-d_{i-1}, 0) generates
-whole rows; one full period of the product collapses to -Id exactly when
-the data closes up into a frieze.  At unit boundary the step is
-Conway-Coxeter's c(v, w+1) = q_w c(v, w) - c(v, w-1).  The tests keep the
-explicit product of ``mu`` matrices as the oracle for the kernel.
+Two consecutive entries (x, y) of a row times ``mu(c, d, e)``, built from
+a quiddity value c and boundary values d, e, give the next two entries
+(y, (c y - d x) / e).  That row step is written once, in the kernel
+``_step(x, y, c, d, e)``; ``_walk`` feeds it mu(q[k-1], d[k], d[k-1]) for
+k = i, i+1, ...  Row building, the closure product, entry recovery, the
+enumeration search and the triangulation labels all run through it.  From
+the extended seed (-d_{i-1}, 0) it generates whole rows; one full period of
+the product collapses to -Id exactly when the data closes up into a frieze.
+At unit boundary it is Conway-Coxeter's c(v, w+1) = q_w c(v, w) - c(v, w-1).
+The tests keep the explicit ``mu`` product as the kernel's oracle.
 """
 
 from __future__ import annotations
@@ -94,17 +94,14 @@ def eta(c, d, e) -> Mat2:
     return Mat2(c / e, -d / e, 1, 0)
 
 
-def _step(x, y, d: Sequence, q: Sequence, k: int):
-    """c(i, k+1) from the window (x, y) = (c(i, k-1), c(i, k)): the one row recurrence.
+def _step(x, y, c, d, e):
+    """The one row recurrence: (x, y) * mu(c, d, e) = (y, (c y - d x) / e).
 
-    (x, y) * mu(q[k-1], d[k], d[k-1]) = (y, (q[k-1] y - d[k] x) / d[k-1]),
-    with both int cycles read mod len(d).  The division is exact: an int
-    numerator gives an int quotient when the divisor divides and a
+    Returns the new entry (c y - d x) / e.  The division is exact: an int
+    numerator gives an int quotient when the int divisor e divides and a
     ``Fraction`` when it leaves a remainder (``int / int`` would be a float).
     """
-    m = len(d)
-    e = d[(k - 1) % m]
-    z = q[(k - 1) % m] * y - d[k % m] * x
+    z = c * y - d * x
     if e == 1:
         return z
     if type(z) is int:
@@ -114,9 +111,16 @@ def _step(x, y, d: Sequence, q: Sequence, k: int):
 
 
 def _walk(x, y, d: Sequence, q: Sequence, k: int, steps: int) -> Iterator:
-    """Yield c(i, k+1), ..., c(i, k+steps) by row steps from the window (x, y)."""
-    for k in range(k, k + steps):
-        x, y = y, _step(x, y, d, q, k)
+    """Yield c(i, k+1), ..., c(i, k+steps) by row steps from (x, y) = (c(i, k-1), c(i, k)).
+
+    Step k applies mu(q[h], d[h+1], d[h]) for an index h = k - 1 that wraps at m.
+    """
+    m = len(d)
+    h = (k - 1) % m
+    for _ in range(steps):
+        g = h + 1 if h + 1 < m else 0
+        x, y = y, _step(x, y, q[h], d[g], d[h])
+        h = g
         yield y
 
 

@@ -58,10 +58,49 @@ def scalar_to_str(value: int | str | Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+#: Miller-Rabin with the first 13 primes as bases is exact below this bound.
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+#: ``prime_factors`` leaves a smaller cofactor to trial division alone.
+_MR_FLOOR = 10**6
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for 1 <= n < ``_MR_BOUND``."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n >= 1, in increasing order."""
+    """Distinct prime factors of n >= 1, in increasing order.
+
+    Trial division.  At the start and after each factor is divided out, a
+    cofactor in [``_MR_FLOOR``, ``_MR_BOUND``) is tested by Miller-Rabin,
+    and a prime one ends the loop.  A composite cofactor with two large
+    prime factors still costs trial division up to the smaller one.
+    """
     if n < 1:
         raise ValueError("prime_factors expects a positive integer")
+    if _MR_FLOOR <= n < _MR_BOUND and _is_prime(n):
+        return [n]
     factors = []
     f = 2
     while f * f <= n:
@@ -69,6 +108,8 @@ def prime_factors(n: int) -> list[int]:
             factors.append(f)
             while n % f == 0:
                 n //= f
+            if _MR_FLOOR <= n < _MR_BOUND and _is_prime(n):
+                break
         f += 1 if f == 2 else 2
     if n > 1:
         factors.append(n)

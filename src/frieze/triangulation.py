@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .core import FriezeMap
@@ -140,7 +141,7 @@ def cc_labels_from(t: Triangulation, v: int) -> list:
 
     Reads the triangulation as its quiddity, q(w) = 1 + the number of
     diagonals at w (the number of triangles at w), and walks the row of v
-    once with the package's single row recurrence at unit boundary:
+    once with the package's row step, the window times mu(q(w), 1, 1):
     c(v, w+1) = q(w) c(v, w) - c(v, w-1), from c(v, v-1) = -1, c(v, v) = 0.
     Every label is an ``int``.  The triangle-sum rule (a triangle with two
     labelled corners labels the third with their sum) gives the same
@@ -162,8 +163,9 @@ def frieze_from_triangulation(t: Triangulation) -> FriezeMap:
 
     Asserts the characteristic facts along the way: the labelling is
     symmetric in its two vertices, every edge carries 1, and the non-edge
-    pairs carrying 1 are exactly the diagonals of the triangulation.  Each
-    distinct label becomes one shared ``Fraction``.
+    pairs carrying 1 are exactly the diagonals of the triangulation.  The
+    checked table is the map's, one shared ``Fraction`` per distinct label;
+    the map clears it to ints on first use, which keeps peak memory down.
     """
     m = t.m
     table = [cc_labels_from(t, v)[1:] for v in range(1, m + 1)]  # table[p-1][q-1] = c(p, q)
@@ -175,8 +177,9 @@ def frieze_from_triangulation(t: Triangulation) -> FriezeMap:
             and sum(row.count(1) for row in table) == 2 * (2 * m - 3)), \
         "unit non-edges must be the diagonals"
     scalars = {value: Fraction(value) for value in set().union(*table)}
-    return FriezeMap(m, {(p, q): scalars[row[q - 1]] for p, row in enumerate(table, 1)
-                         for q in range(p + 1, m + 1)})
+    zero = scalars[0]
+    return FriezeMap._of(m, [[zero] * (m + 1),
+                             *([zero, *itemgetter(*row)(scalars)] for row in table)], None)
 
 
 def cut_subpolygon(f: FriezeMap, verts: Sequence[int]) -> FriezeMap:
@@ -283,11 +286,13 @@ def accordion(a: int, b: int) -> tuple[Triangulation, int]:
     if b == 0:
         return triangle, 3
     t = _accordion_triangulation(max(a, b), min(a, b))
-    for candidate in (t, t.reflected()):
-        labels = cc_labels_from(candidate, 1)
-        for k in range(1, candidate.m + 1):
-            if labels[k] == a and labels[k % candidate.m + 1] == b:
-                return candidate, k
+    for mirrored in (False, True):
+        if mirrored:  # built only when the direct construction misplaces the labels
+            t = t.reflected()
+        labels = cc_labels_from(t, 1)
+        for k in range(1, t.m + 1):
+            if labels[k] == a and labels[k % t.m + 1] == b:
+                return t, k
     raise AssertionError(f"accordion construction failed for ({a}, {b})")
 
 

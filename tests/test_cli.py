@@ -406,6 +406,18 @@ def test_polygon_budget_at_the_cap():
         assert json.loads(done.stdout)["triangulation"]["m"] == 100000
 
 
+def test_realize_refuses_a_prime_gcd_near_1e18_at_once():
+    """gcd 10**18 + 3 is prime: factoring it ends at once, and the size check refuses."""
+    p = str(10**18 + 3)
+    start = time.perf_counter()
+    done = run_frieze(["realize-triangle", p, p, p], stdout=subprocess.PIPE)
+    assert time.perf_counter() - start < 2
+    assert done.returncode == 1 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "validation"
+    assert "MAX_VERTICES = 100000" in lines[0]
+
+
 def test_validate_fails_fast_on_a_huge_or_broken_map():
     """Each input exits 2 with its one JSON line, under a 1 GiB address-space
     limit: a map that built its m**2 table before its count check would die."""

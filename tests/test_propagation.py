@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from frieze import (TAU, Mat2, build_pattern, closes_to_negative_identity,
                     closure_product, entry_via_product, eta,
                     frieze_from_triangulation, mu, scalar_to_str, to_polygon)
+from frieze.propagation import _walk
 from frieze.triangulation import enumerate_triangulations
 
 small = st.fractions(min_value=-30, max_value=30, max_denominator=10)
@@ -29,6 +30,27 @@ def mu_prefix_products(boundary, quiddity, i):
                                boundary[(k - 1) % m])
         products.append(product)
     return products
+
+
+def walk_oracle(x, y, d, q, k, steps):
+    """Oracle for ``_walk``: every cycle index is taken ``% m`` on each step.
+
+    ``_walk`` keeps a running index that wraps at m instead.  An int
+    numerator with a remainder becomes a ``Fraction``, as in the kernel.
+    """
+    m = len(d)
+    out = []
+    for k in range(k, k + steps):
+        e = d[(k - 1) % m]
+        z = q[(k - 1) % m] * y - d[k % m] * x
+        if type(z) is int and e != 1:
+            quotient, remainder = divmod(z, e)
+            z = Fraction(z, e) if remainder else quotient
+        elif e != 1:
+            z = z / e
+        x, y = y, z
+        out.append(y)
+    return out
 
 
 def test_mu_eta_values():
@@ -219,3 +241,22 @@ def test_scalar_strings_and_mixed_cycles_match_fraction_cycles(case):
         for (i, j), value in entries.items():
             entry = entry_via_product(b, q, i, j)
             assert entry == value and type(entry) is type(value) is Fraction
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=7).flatmap(lambda m: st.tuples(
+    st.lists(st.integers(-9, 9).filter(bool) | small_nonzero, min_size=m, max_size=m),
+    st.lists(st.integers(-30, 30) | small, min_size=m, max_size=m),
+    st.tuples(st.integers(-3 * m, 3 * m), st.integers(0, 3 * m)),
+    st.tuples(st.integers(-9, 9) | small, st.integers(-9, 9) | small))))
+@example(([1, 1, 1, 1, 2], [1, 1, 1, 1, 2], (-7, 12), (-1, 0)))  # int steps with remainders
+@example(([2, 3, 1], [1, 5, 2], (9, 10), (0, 1)))  # k past m, more steps than m
+@example(([Fraction(1, 2), 3, Fraction(-2, 3)], [1, Fraction(7, 6), -2], (0, 7), (1, 0)))
+def test_walk_running_index_matches_modular_oracle(case):
+    """Started at any k (k <= 0, k > m) for any number of steps, on int and
+    ``Fraction`` cycles, the wrapping index reads the same factors."""
+    d, q, (k, steps), (x, y) = case
+    walked = list(_walk(x, y, d, q, k, steps))
+    expected = walk_oracle(x, y, d, q, k, steps)
+    assert walked == expected
+    assert [type(v) for v in walked] == [type(v) for v in expected]

@@ -2,11 +2,12 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frieze import (DomainSpec, as_scalar, p_valuation, parse_domain,
                     scalar_from_str, scalar_to_str)
+from frieze.scalars import _is_prime, prime_factors
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 
@@ -42,6 +43,60 @@ scalar_texts = st.one_of(
               st.text(st.sampled_from("0123456789_\u0663"), min_size=1, max_size=5),
               st.sampled_from(["0", "00", "\u0660", "0_0", "7", "07", "-3"]),
               st.sampled_from(["", " ", "\n", "x"])))
+
+
+def prime_factors_oracle(n):
+    """Distinct prime factors of n >= 1 by plain trial division up to the square root."""
+    factors = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            factors.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
+#: Primes above the Miller-Rabin floor, up to 2**61 - 1.
+LARGE_PRIMES = (1000003, 10**12 + 39, 10**18 + 3, 10**18 + 9, 2**61 - 1)
+#: Strong pseudoprimes to every prime base up to 7, up to 31 and up to 37.
+STRONG_PSEUDOPRIMES = (3215031751, 3825123056546413051, 318665857834031151167461)
+
+
+def test_prime_factors_matches_trial_division_up_to_2e5():
+    assert all(prime_factors(n) == prime_factors_oracle(n) for n in range(1, 200_001))
+
+
+def test_miller_rabin_matches_trial_division():
+    assert [n for n in range(20_000) if _is_prime(n)] == \
+        [n for n in range(20_000) if prime_factors_oracle(n) == [n] and n > 1]
+    assert all(_is_prime(p) for p in LARGE_PRIMES)
+    assert not any(_is_prime(n) for n in STRONG_PSEUDOPRIMES)
+    assert not any(_is_prime(p * q) for p in LARGE_PRIMES[:2] for q in LARGE_PRIMES[:3])
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=10**6, max_value=10**10))
+@example(3215031751)
+@example(3825123056546413051)
+@example(1000003 * 999983)  # both factors straddle the floor
+@example(1000003**2)
+def test_prime_factors_above_the_floor_matches_trial_division(n):
+    assert prime_factors(n) == prime_factors_oracle(n)
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((2, 3, 5, 7, 11, 101, 9973, 999983)),
+                          st.integers(1, 3)), max_size=4),
+       st.sampled_from(LARGE_PRIMES))
+def test_prime_factors_of_small_primes_times_one_large_prime(small, large):
+    n = large
+    for p, e in small:
+        n *= p**e
+    assert prime_factors(n) == sorted({p for p, _ in small} | {large})
 
 
 def test_p_valuation_examples():

@@ -246,6 +246,25 @@ def test_accordion_swapped_order():
     assert labels[k] == 2 and labels[k % tri.m + 1] == 5
 
 
+def test_accordion_builds_the_mirror_only_when_needed(monkeypatch):
+    """(2, 5) sits in the wrong rotational order on the direct construction
+    and needs its mirror image; (5, 2) does not."""
+    reflected = Triangulation.reflected
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return reflected(self)
+
+    monkeypatch.setattr(Triangulation, "reflected", counting)
+    for a, b, mirrors in ((2, 5, 1), (5, 2, 0), (3, 4, 1), (4, 3, 0)):
+        calls.clear()
+        tri, k = accordion(a, b)
+        labels = cc_labels_from(tri, 1)
+        assert labels[k] == a and labels[k % tri.m + 1] == b
+        assert len(calls) == mirrors
+
+
 def test_accordion_rejects_common_factor():
     with pytest.raises(ValueError):
         accordion(4, 6)
