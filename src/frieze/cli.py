@@ -22,7 +22,7 @@ from .enumeration import MAX_NODES, enumerate_friezes, enumeration_summary
 from .propagation import build_pattern
 from .ptolemy import verify_all_ptolemy
 from .render import render_ascii, render_svg
-from .scalars import parse_domain, scalar_from_str
+from .scalars import RHO_BUDGET, parse_domain, scalar_from_str
 from .triangulation import (MAX_VERTICES, Triangulation, accordion, cut_subpolygon,
                             frieze_from_triangulation, triangulation_from_json,
                             triangulation_to_json)
@@ -194,6 +194,10 @@ def _cmd_render(args) -> int:
 _SIZE_LIMIT = (f"Builds a polygon of at most {MAX_VERTICES} vertices; a larger one "
                "exits 1 before it is built.")
 
+_FACTOR_LIMIT = (" To size it, the gcd of two labels is factored: trial division to 10**4, "
+                 f"then Pollard-Brent within RHO_BUDGET = {RHO_BUDGET} steps (about a "
+                 "second); a gcd it cannot split within the budget exits 1.")
+
 _BOUNDARY_HELP = ("comma-separated scalars; write --boundary=-1,... when the "
                  "first one is negative")
 
@@ -255,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("realize-triangle", help="triangulation realizing (a, b, c)",
-                       description=_SIZE_LIMIT)
+                       description=_SIZE_LIMIT + _FACTOR_LIMIT)
     p.add_argument("a", type=int)
     p.add_argument("b", type=int)
     p.add_argument("c", type=int)

@@ -449,8 +449,12 @@ def frieze_from_json(obj) -> FriezeMap:
     """Strict loader for the frieze JSON format.
 
     Rejects missing, extraneous or repeated pairs (``"01,3"`` repeats
-    ``"1,3"``), malformed scalars, and zero boundary entries (the FriezeMap
-    constructor enforces the latter two).
+    ``"1,3"``), malformed scalars, and zero boundary entries, with the
+    messages and in the order of the ``FriezeMap`` constructor: every key
+    and scalar is read first, then m, the vertex pairs, their count and the
+    boundary are checked.  When there are as many keys as pairs, the values
+    go straight into the map's vertex table, one ``Fraction`` per distinct
+    scalar text.
     """
     if not isinstance(obj, dict) or "m" not in obj or "entries" not in obj:
         raise ValueError("frieze JSON needs 'm' and 'entries'")
@@ -460,7 +464,11 @@ def frieze_from_json(obj) -> FriezeMap:
     raw = obj["entries"]
     if not isinstance(raw, dict):
         raise ValueError("'entries' must be an object")
-    entries: dict[tuple[int, int], Fraction] = {}
+    expected = m * (m - 1) // 2
+    full = m >= 3 and len(raw) == expected  # else no table: the count check fails
+    table = [[None] * (m + 1) for _ in range(m + 1)] if full else None
+    others: set[tuple[int, int]] = set()  # the pairs read that have no table cell
+    outside = None  # the first pair read that is not a vertex pair
     values: dict[str, Fraction] = {}  # one Fraction per distinct scalar text
     for key, text in raw.items():
         parts = key.split(",")
@@ -470,11 +478,31 @@ def frieze_from_json(obj) -> FriezeMap:
             p, q = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"bad pair key {key!r}") from None
-        if (p, q) in entries:
+        cell = full and 1 <= p < q <= m
+        if (table[p][q] is not None) if cell else (p, q) in others:
             raise ValueError(f"pair ({p}, {q}) given twice, the second time as {key!r}")
         if not isinstance(text, str):
             raise ValueError(f"entry for {key!r} must be a string scalar")
-        if text not in values:
-            values[text] = scalar_from_str(text)
-        entries[(p, q)] = values[text]
-    return FriezeMap(m, entries)
+        value = values.get(text)
+        if value is None:
+            value = values[text] = scalar_from_str(text)
+        if cell:
+            table[p][q] = table[q][p] = value
+        else:
+            others.add((p, q))
+            if outside is None and not 1 <= p < q <= m:
+                outside = (p, q)
+    if m < 3:
+        raise ValueError("polygon needs at least 3 vertices")
+    if outside is not None:
+        raise ValueError(f"bad vertex pair {outside} for m={m}")
+    if not full:
+        raise ValueError(f"need all {expected} vertex pairs, got {len(raw)}")
+    zero = Fraction(0)
+    table[0] = [zero] * (m + 1)
+    for p in range(1, m + 1):
+        row = table[p]
+        row[0] = row[p] = zero
+        if row[p % m + 1] == 0:
+            raise ValueError(f"boundary entry at edge ({p}, {p % m + 1}) is zero")
+    return FriezeMap._of(m, table, None)

@@ -10,12 +10,24 @@ the extended seed (-d_{i-1}, 0) it generates whole rows; one full period of
 the product collapses to -Id exactly when the data closes up into a frieze.
 At unit boundary it is Conway-Coxeter's c(v, w+1) = q_w c(v, w) - c(v, w-1).
 The tests keep the explicit ``mu`` product as the kernel's oracle.
+
+The three entry points stay in ints from start to finish.  ``_cycles``
+clears both cycles to ints over one common denominator L in a single pass.
+The step is homogeneous of degree 1 in its window, so a walk on the
+cleared cycles from L times the seed yields L times the entries.  A row
+step that leaves a remainder does not switch the row to ``Fraction``
+arithmetic: the walk carries its window as ints (x, y) over a running int
+denominator D, multiplied by the remainder's reduced denominator and
+divided by gcd(x, y, D), and builds one ``Fraction(y, D)`` per entry.  A
+walk whose divisors are all 1 cannot leave a remainder, so it runs the
+plain loop and checks nothing per step; the choice is made once per walk,
+from its boundary cycle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from .core import PatternGrid, _cleared
@@ -114,14 +126,55 @@ def _walk(x, y, d: Sequence, q: Sequence, k: int, steps: int) -> Iterator:
     """Yield c(i, k+1), ..., c(i, k+steps) by row steps from (x, y) = (c(i, k-1), c(i, k)).
 
     Step k applies mu(q[h], d[h+1], d[h]) for an index h = k - 1 that wraps at m.
+    The entries are those of ``_step`` one step at a time, types included.
+
+    The loop is chosen once per walk.  When every divisor is 1 no step can
+    divide, so the plain loop yields ``_step``'s results unchecked.
+    Otherwise the walk yields ints until a step returns a ``Fraction``.
+    From there it carries the window as ints (x, y) over a running int
+    denominator D, their least common one.  The step is homogeneous of
+    degree 1 in its window, so ``_step`` on (x, y) returns D times the true
+    entry.  When that is a ``Fraction`` num/den, the window becomes
+    (y den, num) over D den, and dividing out gcd(x, y, D) makes D least
+    again.  On int cycles den > 1 there, so D stays above 1, though an
+    entry may come back to a whole number.  Every entry from the first
+    ``Fraction`` on is ``Fraction(y, D)``, whole ones included, as
+    ``Fraction`` arithmetic along the row would give it.
     """
     m = len(d)
     h = (k - 1) % m
-    for _ in range(steps):
+    if d.count(1) == m:
+        for _ in range(steps):
+            g = h + 1 if h + 1 < m else 0
+            x, y = y, _step(x, y, q[h], d[g], d[h])
+            h = g
+            yield y
+        return
+    for left in range(steps - 1, -1, -1):  # left: the steps after this one
         g = h + 1 if h + 1 < m else 0
-        x, y = y, _step(x, y, q[h], d[g], d[h])
+        z = _step(x, y, q[h], d[g], d[h])
         h = g
-        yield y
+        if type(z) is not int:
+            break
+        x, y = y, z
+        yield z
+    else:
+        return
+    big, ((x, y),) = _cleared(((y, z),))  # the window that left the ints
+    yield Fraction(y, big)
+    for _ in range(left):
+        g = h + 1 if h + 1 < m else 0
+        z = _step(x, y, q[h], d[g], d[h])
+        h = g
+        if type(z) is int:
+            x, y = y, z
+        else:
+            num, den = z.as_integer_ratio()
+            x, y, big = y * den, num, big * den
+            r = gcd(x, y, big)
+            if r != 1:
+                x, y, big = x // r, y // r, big // r
+        yield Fraction(y, big)
 
 
 def _cycles(boundary: Sequence, quiddity: Sequence) -> tuple[int, list[int], list[int]]:
@@ -129,20 +182,21 @@ def _cycles(boundary: Sequence, quiddity: Sequence) -> tuple[int, list[int], lis
 
     The boundary must be nonzero and the quiddity of equal length >= 3.  The
     row step reads the cycles only through ratios, so the cleared cycles
-    walk the same windows as the given ones.
+    walk the same windows as the given ones.  Each value is coerced and
+    read as (numerator, denominator) once, and rescaled by one multiply.
     """
-    big_d, (d,) = _cleared(([as_scalar(v) for v in boundary],))
+    d = [as_scalar(v).as_integer_ratio() for v in boundary]
     if len(d) < 3:
         raise ValueError("boundary sequence needs at least 3 values")
-    if 0 in d:
+    if (0, 1) in d:
         raise ValueError("boundary entries must be nonzero")
-    big_q, (q,) = _cleared(([as_scalar(v) for v in quiddity],))
+    q = [as_scalar(v).as_integer_ratio() for v in quiddity]
     if len(q) < 3:
         raise ValueError("quiddity cycle needs at least 3 values")
     if len(q) != len(d):
         raise ValueError("boundary and quiddity must have the same length")
-    big = lcm(big_d, big_q)
-    return big, [x * (big // big_d) for x in d], [x * (big // big_q) for x in q]
+    big = lcm(*{e for _, e in d}, *{e for _, e in q})
+    return big, [n * (big // e) for n, e in d], [n * (big // e) for n, e in q]
 
 
 def build_pattern(boundary: Sequence, quiddity: Sequence) -> PatternGrid:
@@ -156,9 +210,10 @@ def build_pattern(boundary: Sequence, quiddity: Sequence) -> PatternGrid:
     violations for the validators to report.  Division only ever happens
     by boundary entries.  The rows are walked on the cleared cycles of
     ``_cycles`` from the seed -L d_{i-1}; the step is homogeneous of
-    degree 1 in its window, so the entries come out as L c(i, j), mostly
-    ints, and each distinct one is divided back by L once.  When all are
-    ints, they are the grid's cleared rows.
+    degree 1 in its window, so the entries come out as L c(i, j): ints, or
+    ``Fraction``s on a row that left a remainder.  Each distinct one is
+    divided back by L once.  When all are ints, they are the grid's
+    cleared rows.
     """
     big, d, q = _cycles(boundary, quiddity)
     m = len(d)

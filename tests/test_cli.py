@@ -418,6 +418,18 @@ def test_realize_refuses_a_prime_gcd_near_1e18_at_once():
     assert "MAX_VERTICES = 100000" in lines[0]
 
 
+def test_realize_refuses_a_gcd_of_two_large_primes_at_once():
+    """gcd 1000000007 * 1000000009: Pollard-Brent splits it, and the size check refuses."""
+    n = str(1000000007 * 1000000009)
+    start = time.perf_counter()
+    done = run_frieze(["realize-triangle", n, n, n], stdout=subprocess.PIPE)
+    assert time.perf_counter() - start < 2
+    assert done.returncode == 1 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "validation"
+    assert "MAX_VERTICES = 100000" in lines[0]
+
+
 def test_validate_fails_fast_on_a_huge_or_broken_map():
     """Each input exits 2 with its one JSON line, under a 1 GiB address-space
     limit: a map that built its m**2 table before its count check would die."""

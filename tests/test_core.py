@@ -20,7 +20,8 @@ import validator_oracles as oracle
 from frieze import (ZERO_ENTRY, FriezeMap, PatternGrid, Triangulation, build_pattern,
                     check_glide, frieze_from_json, frieze_from_triangulation,
                     frieze_to_json, grid_from_polygon, normalize_index, render_ascii,
-                    scale, to_polygon, validate_local, validate_tame, verify_all_ptolemy)
+                    scalar_from_str, scale, to_polygon, validate_local, validate_tame,
+                    verify_all_ptolemy)
 
 nonzero = st.integers(min_value=-9, max_value=9).filter(lambda x: x != 0)
 
@@ -388,3 +389,92 @@ def test_one_map_shared_by_threads():
                 assert [future.result(timeout=60) for future in futures] == [expected] * 4
     finally:
         sys.setswitchinterval(switch)
+
+
+def json_loader_oracle(obj):
+    """The loader that parsed every key into a pair dict and handed it to ``FriezeMap(m, entries)``."""
+    if not isinstance(obj, dict) or "m" not in obj or "entries" not in obj:
+        raise ValueError("frieze JSON needs 'm' and 'entries'")
+    m = obj["m"]
+    if type(m) is not int:
+        raise ValueError("'m' must be an integer")
+    raw = obj["entries"]
+    if not isinstance(raw, dict):
+        raise ValueError("'entries' must be an object")
+    entries = {}
+    for key, text in raw.items():
+        parts = key.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"bad pair key {key!r}")
+        try:
+            p, q = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(f"bad pair key {key!r}") from None
+        if (p, q) in entries:
+            raise ValueError(f"pair ({p}, {q}) given twice, the second time as {key!r}")
+        if not isinstance(text, str):
+            raise ValueError(f"entry for {key!r} must be a string scalar")
+        entries[(p, q)] = scalar_from_str(text)
+    return FriezeMap(m, entries)
+
+
+#: One fault each, as (name, edit of an (m, entries) document); an edit puts
+#: its key first or last, so two faults meet in both orders.
+LOADER_FAULTS = [
+    ("bad key", lambda m, e: {"1": "1"}),
+    ("bad key parts", lambda m, e: {"1,2,3": "1"}),
+    ("bad key text", lambda m, e: {"a,b": "1"}),
+    ("repeated pair", lambda m, e: {"01,3": "9"}),
+    ("repeated spaced pair", lambda m, e: {" 1,3": "9"}),
+    ("non-string value", lambda m, e: {"1,3": 9}),
+    ("null value", lambda m, e: {"1,3": None}),
+    ("malformed scalar", lambda m, e: {"1,3": "4/0"}),
+    ("empty scalar", lambda m, e: {"1,3": ""}),
+    ("pair below range", lambda m, e: {"0,1": "1"}),
+    ("repeated pair below range", lambda m, e: {"0,1": "1", "0,01": "1"}),
+    ("reversed pair", lambda m, e: {"3,1": "1"}),
+    ("diagonal pair", lambda m, e: {"2,2": "1"}),
+    ("pair above range", lambda m, e: {f"1,{m + 1}": "1"}),
+    ("zero boundary", lambda m, e: {"1,2": "0"}),
+    ("zero closing edge", lambda m, e: {f"1,{m}": "0/3"}),
+]
+
+
+def _loader_outcome(load, doc):
+    try:
+        f = load(doc)
+    except ValueError as exc:
+        return "error", str(exc)
+    return f.m, f._table, [type(v) for row in f._table for v in row]
+
+
+def _loader_corpus():
+    square = {"1,2": "7", "1,3": "9", "1,4": "3", "2,3": "5", "2,4": "4", "3,4": "3"}
+    hexagon = frieze_to_json(frieze_from_triangulation(Triangulation(6, [(2, 4), (2, 5), (2, 6)])))
+    docs = [{"m": 4, "entries": square}, hexagon, {"m": 4, "entries": {**square, "1,2": "7/2"}}]
+    for m, base in ((4, square), (6, hexagon["entries"])):
+        short = dict(list(base.items())[1:])  # "1,2" missing: the count is one short
+        for start in (base, short):
+            for name, edit in LOADER_FAULTS:
+                change = edit(m, start)
+                docs.append({"m": m, "entries": {**start, **change}})
+                docs.append({"m": m, "entries": {**change, **start}})
+                for _, other in LOADER_FAULTS:
+                    docs.append({"m": m, "entries": {**change, **start, **other(m, start)}})
+        for small_m in (2, 0, -1):
+            docs.append({"m": small_m, "entries": base})
+            docs.append({"m": small_m, "entries": {**base, "1,3": "x"}})
+        docs.append({"m": m, "entries": {}})
+    return docs
+
+
+def test_json_loader_matches_the_pair_dict_oracle():
+    """Valid and broken documents, up to two faults each, load to the same
+    table or fail with the same first message as the ``FriezeMap(m, entries)`` path."""
+    docs = _loader_corpus()
+    assert len(docs) > 500
+    outcomes = [_loader_outcome(frieze_from_json, doc) for doc in docs]
+    assert outcomes == [_loader_outcome(json_loader_oracle, doc) for doc in docs]
+    messages = {outcome[1].split(" ")[0] for outcome in outcomes if outcome[0] == "error"}
+    assert messages == {"bad", "pair", "entry", "malformed", "polygon", "need", "boundary"}
+    assert sum(outcome[0] != "error" for outcome in outcomes) >= 3

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 from frieze import (TAU, Mat2, build_pattern, closes_to_negative_identity,
                     closure_product, entry_via_product, eta,
                     frieze_from_triangulation, mu, scalar_to_str, to_polygon)
-from frieze.propagation import _walk
+from frieze.core import _cleared
+from frieze.propagation import _cycles, _walk
+from frieze.scalars import as_scalar
 from frieze.triangulation import enumerate_triangulations
 
 small = st.fractions(min_value=-30, max_value=30, max_denominator=10)
@@ -260,3 +263,125 @@ def test_walk_running_index_matches_modular_oracle(case):
     expected = walk_oracle(x, y, d, q, k, steps)
     assert walked == expected
     assert [type(v) for v in walked] == [type(v) for v in expected]
+
+
+def cycles_oracle(boundary, quiddity):
+    """The two-pass ``_cycles``: each cycle coerced and cleared on its own, then rescaled to one L."""
+    big_d, (d,) = _cleared(([as_scalar(v) for v in boundary],))
+    if len(d) < 3:
+        raise ValueError("boundary sequence needs at least 3 values")
+    if 0 in d:
+        raise ValueError("boundary entries must be nonzero")
+    big_q, (q,) = _cleared(([as_scalar(v) for v in quiddity],))
+    if len(q) < 3:
+        raise ValueError("quiddity cycle needs at least 3 values")
+    if len(q) != len(d):
+        raise ValueError("boundary and quiddity must have the same length")
+    big = lcm(big_d, big_q)
+    return big, [x * (big // big_d) for x in d], [x * (big // big_q) for x in q]
+
+
+def _cycles_outcome(clear, boundary, quiddity):
+    try:
+        return clear(boundary, quiddity)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+#: Inputs with two faults at once, each pair reported in the order of the oracle.
+DOUBLE_FAULTS = [
+    ([1, 1], ["x", 1, 1]),                      # short boundary, bad quiddity scalar
+    ([1, 0, 1], [1, 1, 1, 1]),                  # zero boundary, length mismatch
+    (["1/0", 0, 1], [1, 1, 1]),                 # malformed boundary scalar, zero boundary
+    ([1.5, 1, 1], [1, 1]),                      # float boundary value, short quiddity
+    ([1, 1, 1], ["1", "y"]),                    # malformed quiddity scalar, short quiddity
+    ([1, 1, 1, 1], [1, 1]),                     # short quiddity, length mismatch
+    ([1, 1, 1], [None, 1, 1, 1]),               # quiddity value of no scalar type, mismatch
+    (["0/5", 2, 3], [1]),                       # zero boundary as text, short quiddity
+    ([], ["", 1, 1]),                           # empty boundary, malformed quiddity scalar
+    ([Fraction(0), Fraction(1, 2)], [1, 1, 1]),  # zero boundary in a short boundary
+    ([0, 0, 0], ["1/0", 1, 1]),                 # zero boundary, malformed quiddity scalar
+]
+
+scalar_or_junk = st.one_of(st.integers(-3, 3), small, st.sampled_from(
+    ["2/3", "-1", "0", "0/4", "1/0", "x", "", " 5 ", 1.0, None, True]))
+
+
+@settings(deadline=None)
+@given(st.lists(scalar_or_junk, max_size=5), st.lists(scalar_or_junk, max_size=5))
+@example([True, 2, Fraction(3, 4)], [1, "2/3", 0])  # a bool reads as 1
+def test_cycles_match_the_two_pass_oracle(boundary, quiddity):
+    """Cleared cycles, or the error type and message with the oracle's precedence."""
+    assert _cycles_outcome(_cycles, boundary, quiddity) \
+        == _cycles_outcome(cycles_oracle, boundary, quiddity)
+
+
+@pytest.mark.parametrize("boundary, quiddity", DOUBLE_FAULTS)
+def test_cycles_report_the_first_of_two_faults(boundary, quiddity):
+    expected = _cycles_outcome(cycles_oracle, boundary, quiddity)
+    assert expected[0] in (TypeError, ValueError)
+    for clear in (_cycles, build_pattern, closure_product,
+                  lambda b, q: entry_via_product(b, q, 0, 1)):
+        assert _cycles_outcome(clear, boundary, quiddity) == expected
+
+
+#: Rows that leave the ints with several remainders and come back to whole
+#: entries on the way: (boundary, quiddity, row i).
+RETURNING_ROWS = [
+    ([3, 2, 3, 2, -2, 1], [1, 4, 3, 3, 5, 2], 1),
+    ([1, Fraction(2, 3), 1, 2, Fraction(1, 2), 1],
+     [3, Fraction(1, 3), 1, Fraction(1, 3), Fraction(1, 3), 3], 3),
+    ([4, 3, 4, 3, 2, 1], [4, 3, 1, 2, 1, 1], 1),
+]
+
+
+def test_rows_that_return_to_whole_entries_stay_fractions():
+    """After a remainder the row is ``Fraction``s, a whole entry included."""
+    for boundary, quiddity, i in RETURNING_ROWS:
+        big, d, q = _cycles(boundary, quiddity)
+        row = list(_walk(-d[i - 1], 0, d, q, i, len(d) - 1))
+        assert row == walk_oracle(-d[i - 1], 0, d, q, i, len(d) - 1)
+        first = next(n for n, v in enumerate(row) if type(v) is not int)
+        later = row[first:]
+        assert all(type(v) is Fraction for v in later)
+        assert sum(v.denominator > 1 for v in later) >= 2
+        assert any(v.denominator == 1 for v in later)
+
+
+non_unit_int = st.integers(-6, 6).filter(lambda x: x not in (-1, 0, 1))
+rational = st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=3, max_value=40).flatmap(lambda m: st.tuples(
+    st.lists(non_unit_int | st.just(1) | rational, min_size=m, max_size=m),
+    st.lists(st.integers(-9, 9) | rational, min_size=m, max_size=m))))
+@example(tuple(RETURNING_ROWS[0][:2]))
+@example(tuple(RETURNING_ROWS[1][:2]))
+@example(([2] * 40, [1, 3] * 20))
+@example(([Fraction(3, 2), 5, -4, Fraction(2, 5)] * 10, [Fraction(1, 3), 7, -2, 3, 1] * 8))
+def test_long_non_unit_walks_match_the_mu_product_oracle(cycles):
+    """Long rows on non-unit int and rational cycles, with many remainders a row:
+    every entry point gives the mu-product values, all as ``Fraction``s, and
+    each cleared row walks as the one-step oracle does, types included."""
+    boundary, quiddity = cycles
+    m = len(boundary)
+    products = {i: mu_prefix_products(boundary, quiddity, i) for i in range(m)}
+    closure = closure_product(boundary, quiddity)
+    assert closure == products[1][-1]
+    assert {type(x) for x in (closure.a11, closure.a12, closure.a21, closure.a22)} == {Fraction}
+    grid = build_pattern(boundary, quiddity)
+    assert {type(x) for row in grid.rows for x in row} == {Fraction}
+    big, d, q = _cycles(boundary, quiddity)
+    for i in range(m):
+        seed = -boundary[(i - 1) % m]
+        walked = list(_walk(-d[i - 1], 0, d, q, i, m - 1))
+        expected = walk_oracle(-d[i - 1], 0, d, q, i, m - 1)
+        assert walked == expected
+        assert [type(v) for v in walked] == [type(v) for v in expected]
+        for j, product in enumerate(products[i], i):
+            value = seed * product.a11
+            assert grid.entry(i, j) == value
+            if (i + j) % 3 == 0 or m <= 12:  # entry_via_product walks from scratch each call
+                entry = entry_via_product(boundary, quiddity, i, j)
+                assert entry == value and type(entry) is Fraction

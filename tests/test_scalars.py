@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from frieze import (DomainSpec, as_scalar, p_valuation, parse_domain,
                     scalar_from_str, scalar_to_str)
+from frieze import scalars
 from frieze.scalars import _is_prime, prime_factors
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -97,6 +98,46 @@ def test_prime_factors_of_small_primes_times_one_large_prime(small, large):
     for p, e in small:
         n *= p**e
     assert prime_factors(n) == sorted({p for p, _ in small} | {large})
+
+
+def _prime_at_least(n):
+    while prime_factors_oracle(n) != [n]:
+        n += 1
+    return n
+
+
+#: primes just past the trial-division limit, where Pollard-Brent takes over
+rho_primes = st.integers(10**4, 2 * 10**6).map(_prime_at_least)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(rho_primes, min_size=2, max_size=3), st.integers(1, 3),
+       st.lists(st.sampled_from((2, 3, 7, 9973)), max_size=3))
+@example([10007, 10007], 1, [])  # a prime square just past the limit
+@example([10009, 1000003], 2, [2])
+def test_pollard_brent_matches_trial_division(large, power, small):
+    """Cofactors with two or three prime factors above 10**4, one of them
+    maybe squared or cubed, times small primes: the trial-division oracle's factors."""
+    n = large[0] ** power
+    for p in large[1:] + small:
+        n *= p
+    assert prime_factors(n) == prime_factors_oracle(n)
+
+
+def test_pollard_brent_splits_two_ten_digit_primes():
+    n = 1000000007 * 1000000009
+    assert prime_factors(n) == [1000000007, 1000000009]
+    assert prime_factors(6 * n * 1000000007) == [2, 3, 1000000007, 1000000009]
+    assert prime_factors(1000000007 * (2**61 - 1)) == [1000000007, 2**61 - 1]  # above _MR_BOUND
+
+
+def test_pollard_brent_stops_at_its_budget(monkeypatch):
+    monkeypatch.setattr(scalars, "RHO_BUDGET", 1000)
+    with pytest.raises(ValueError, match=r"^cannot factor 1000000016000000063 within "
+                                         r"Pollard-Brent's budget of RHO_BUDGET = 1000 steps$"):
+        prime_factors(1000000007 * 1000000009)
+    assert prime_factors(10007 * 10009) == [10007, 10009]  # found inside the budget
+    assert prime_factors(99999989) == [99999989]  # below 10**8 trial division ends it
 
 
 def test_p_valuation_examples():
