@@ -134,15 +134,8 @@ def coefficient_witness(a: int, b: int, c: int) -> tuple[int, int]:
     return a1, b2
 
 
-def descent_steps(t: CoeffTuple) -> Iterator[CoeffTuple]:
-    """Yield the tuples visited by the iceberg descent, start and end included.
-
-    Expects a coprime-pair tuple with componentwise positive delta whose
-    third component is minimal and with a1 >= 0 (the shape produced by the
-    witness construction).  Each step applies gamma with parameter
-    ceil(a2/a1); while b2 stays negative it must strictly increase, which
-    is asserted and bounds the number of steps by |b2|.
-    """
+def _descent_target(t: CoeffTuple) -> tuple[int, int, int]:
+    """delta(t), once t is checked to have the shape the descent expects."""
     if not in_coefficient_set(t):
         raise ValueError(f"{t} has a non-coprime coordinate pair")
     target = delta(t)
@@ -152,14 +145,33 @@ def descent_steps(t: CoeffTuple) -> Iterator[CoeffTuple]:
         raise ValueError("descent expects the third delta component minimal")
     if t.a1 < 0:
         raise ValueError("descent expects a1 >= 0")
+    return target
+
+
+def _completed(target: tuple[int, int, int]) -> CoeffTuple:
+    """The nonnegative tuple with a1 = 0 and the given delta."""
+    a, _, c = target
+    final = CoeffTuple(0, 1, a - c, c, 0, 1)
+    assert delta(final) == target
+    return final
+
+
+def descent_steps(t: CoeffTuple) -> Iterator[CoeffTuple]:
+    """Yield the tuples visited by the iceberg descent, start and end included.
+
+    Expects a coprime-pair tuple with componentwise positive delta whose
+    third component is minimal and with a1 >= 0 (the shape produced by the
+    witness construction).  Each step applies gamma with parameter
+    ceil(a2/a1); while b2 stays negative it must strictly increase, which
+    is asserted and bounds the number of steps by |b2|.  This is the step
+    by step descent that ``iceberg_descent`` jumps through by runs.
+    """
+    target = _descent_target(t)
     yield t
     if min(t) >= 0:
         return
     if t.a1 == 0:
-        a, _, c = target
-        final = CoeffTuple(0, 1, a - c, c, 0, 1)
-        assert delta(final) == target
-        yield final
+        yield _completed(target)
         return
     current = t
     while True:
@@ -177,11 +189,65 @@ def descent_steps(t: CoeffTuple) -> Iterator[CoeffTuple]:
         current = nxt
 
 
+def _first_nonnegative(lines, last: int) -> int | None:
+    """The least k in 1..last with u + k v >= 0 for every (u, v), or None."""
+    first = 1
+    for u, v in lines:
+        if v > 0:
+            first = max(first, -(u // v))  # ceil(-u / v)
+        elif v < 0:
+            last = min(last, u // -v)
+        elif u < 0:
+            return None
+    return first if first <= last else None
+
+
 def iceberg_descent(t: CoeffTuple) -> CoeffTuple:
-    """Drive a witness tuple into the nonnegative orthant, delta unchanged."""
-    final = t
-    for final in descent_steps(t):
-        pass
+    """Drive a witness tuple into the nonnegative orthant, delta unchanged.
+
+    Ends where ``descent_steps`` ends, but jumps each run of steps with
+    parameter s = 1.  The parameter ceil(a2/a1) is 1 exactly while
+    0 < a2 <= a1.  There gamma is blockwise I + N with N^2 = 0, so k steps
+    are I + kN:
+
+        (a1, a2) -> (a1 - k a2, a2),
+        (b1, b2) -> (b1 - k S, b2 + k S) with S = b1 + b2,
+        (c1, c2) -> (c1, c2 + k c1).
+
+    The run lasts K = floor(a1/a2) steps; after them a1 < a2, and a1 = 0
+    when a2 divides a1.  It ends earlier at the first k whose tuple is
+    nonnegative, found per coordinate by one floor division since each
+    coordinate is linear in k.  The other steps are taken one at a time.
+
+    Checking the two ends of a run checks every step of it.  The k^2 terms
+    of delta cancel along a run, so each component of delta is affine in
+    k, and equal at k = 0 and at the run's end it is the same at every k.
+    Every step before the last one of the descent must leave b2 negative
+    and larger: b2 + kS is linear, so S > 0 and b2 < 0 at the run's last
+    such step cover all of them.
+    """
+    target = _descent_target(t)
+    final = _completed(target) if t.a1 == 0 and min(t) < 0 else t
+    done = min(final) >= 0
+    while not done:
+        a1, a2, b1, b2, c1, c2 = final
+        if 0 < a2 <= a1:  # a run of s = 1
+            total, steps = b1 + b2, a1 // a2
+            k = _first_nonnegative(((b1, -total), (b2, total), (c1, 0), (c2, c1)), steps)
+            done = k is not None or a1 % a2 == 0
+            k = k or steps
+            final = CoeffTuple(a1 - k * a2, a2, b1 - k * total, b2 + k * total, c1, c2 + k * c1)
+            raised = k - 1 if done else k  # the steps that must leave b2 negative and larger
+            if raised:
+                assert 0 > b2 + raised * total > b2 + (raised - 1) * total, \
+                    "descent must strictly raise b2"
+        else:
+            final = gamma_t(final, -(-a2 // a1))  # s = ceil(a2 / a1)
+            done = final.a1 == 0 or min(final) >= 0
+            if not done:
+                assert 0 > final.b2 > b2, "descent must strictly raise b2"
+        assert delta(final) == target
+    # a1 = 0 forces a2 = 1 and b2 = c >= 0, so the tuple is complete
     assert min(final) >= 0 and in_coefficient_set(final)
     return final
 

@@ -72,8 +72,9 @@ into its polygon map with no further check:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import floor, gcd, lcm
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import FriezeMap, _fold
 from .propagation import _step
@@ -238,7 +239,7 @@ def enumerate_friezes(boundary: Sequence, domain: DomainSpec,
                     options.append(q)
         return sorted(options)
 
-    def congruent(level: int) -> list[int]:
+    def congruent(level: int) -> Iterable[int]:
         """The candidates for q[level], level < m - 4, that step every row to an int."""
         e, f = abs(dz[level]), dz[level + 1]
         step, start, low = 1, 0, 1 if positive else -top
@@ -260,13 +261,14 @@ def enumerate_friezes(boundary: Sequence, domain: DomainSpec,
                 return []
             t = (residue - start) // k * pow(step // k, -1, modulus // k) % (modulus // k)
             start, step = start + step * t, step * modulus // k
-        qs = []
+        # chained, not listed: one run may hold far more values than the node budget
+        ranges = []
         for first, stop in runs:
             first = max(first, low)
-            qs += range(first + (start - first) % step, stop + 1, step)
-        return qs
+            ranges.append(range(first + (start - first) % step, stop + 1, step))
+        return chain(*ranges)
 
-    def options(level: int) -> list[int]:
+    def options(level: int) -> Iterable[int]:
         if level > m - 4:
             return solved(level)
         return divided() if level == m - 4 else congruent(level)

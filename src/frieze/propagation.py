@@ -14,21 +14,22 @@ The tests keep the explicit ``mu`` product as the kernel's oracle.
 The three entry points stay in ints from start to finish.  ``_cycles``
 clears both cycles to ints over one common denominator L in a single pass.
 The step is homogeneous of degree 1 in its window, so a walk on the
-cleared cycles from L times the seed yields L times the entries.  A row
+cleared cycles from L times the seed gives L times the entries.  A row
 step that leaves a remainder does not switch the row to ``Fraction``
 arithmetic: the walk carries its window as ints (x, y) over a running int
 denominator D, multiplied by the remainder's reduced denominator and
 divided by gcd(x, y, D), and builds one ``Fraction(y, D)`` per entry.  A
-walk whose divisors are all 1 cannot leave a remainder, so it runs the
-plain loop and checks nothing per step; the choice is made once per walk,
-from its boundary cycle.
+walk whose divisors are all the int 1 cannot leave a remainder, so it runs
+``_step`` at d = e = 1 written inline, c y - x, and checks nothing per
+step; the choice is made once per walk, from its boundary cycle.  A walk
+returns its entries as a list.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import PatternGrid, _cleared
 from .scalars import as_scalar
@@ -122,15 +123,18 @@ def _step(x, y, c, d, e):
     return z / e
 
 
-def _walk(x, y, d: Sequence, q: Sequence, k: int, steps: int) -> Iterator:
-    """Yield c(i, k+1), ..., c(i, k+steps) by row steps from (x, y) = (c(i, k-1), c(i, k)).
+def _walk(x, y, d: Sequence, q: Sequence, k: int, steps: int) -> list:
+    """The list c(i, k+1), ..., c(i, k+steps), by row steps from (x, y) = (c(i, k-1), c(i, k)).
 
     Step k applies mu(q[h], d[h+1], d[h]) for an index h = k - 1 that wraps at m.
     The entries are those of ``_step`` one step at a time, types included.
 
-    The loop is chosen once per walk.  When every divisor is 1 no step can
-    divide, so the plain loop yields ``_step``'s results unchecked.
-    Otherwise the walk yields ints until a step returns a ``Fraction``.
+    The loop is chosen once per walk.  When every divisor is the int 1 no
+    step can divide, and the loop computes ``_step(x, y, c, 1, 1)`` inline
+    as c y - x, with no call per step: 1 x is x in value and type, so the
+    entries are ``_step``'s.  A ``Fraction(1)`` divisor makes d x a
+    ``Fraction``, so a cycle holding one takes the general loop.  That
+    loop collects ints until a step returns a ``Fraction``.
     From there it carries the window as ints (x, y) over a running int
     denominator D, their least common one.  The step is homogeneous of
     degree 1 in its window, so ``_step`` on (x, y) returns D times the true
@@ -143,13 +147,13 @@ def _walk(x, y, d: Sequence, q: Sequence, k: int, steps: int) -> Iterator:
     """
     m = len(d)
     h = (k - 1) % m
-    if d.count(1) == m:
+    out = []
+    if d.count(1) == m and type(sum(d)) is int:  # no Fraction(1): the sum is an int
         for _ in range(steps):
-            g = h + 1 if h + 1 < m else 0
-            x, y = y, _step(x, y, q[h], d[g], d[h])
-            h = g
-            yield y
-        return
+            x, y = y, q[h] * y - x
+            h = h + 1 if h + 1 < m else 0
+            out.append(y)
+        return out
     for left in range(steps - 1, -1, -1):  # left: the steps after this one
         g = h + 1 if h + 1 < m else 0
         z = _step(x, y, q[h], d[g], d[h])
@@ -157,11 +161,11 @@ def _walk(x, y, d: Sequence, q: Sequence, k: int, steps: int) -> Iterator:
         if type(z) is not int:
             break
         x, y = y, z
-        yield z
+        out.append(z)
     else:
-        return
+        return out
     big, ((x, y),) = _cleared(((y, z),))  # the window that left the ints
-    yield Fraction(y, big)
+    out.append(Fraction(y, big))
     for _ in range(left):
         g = h + 1 if h + 1 < m else 0
         z = _step(x, y, q[h], d[g], d[h])
@@ -174,7 +178,8 @@ def _walk(x, y, d: Sequence, q: Sequence, k: int, steps: int) -> Iterator:
             r = gcd(x, y, big)
             if r != 1:
                 x, y, big = x // r, y // r, big // r
-        yield Fraction(y, big)
+        out.append(Fraction(y, big))
+    return out
 
 
 def _cycles(boundary: Sequence, quiddity: Sequence) -> tuple[int, list[int], list[int]]:

@@ -4,7 +4,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import frieze.triangulation
@@ -141,6 +141,54 @@ def test_descent_on_random_admissible_triples():
         negatives = [t.b2 for t in trace if t.b2 < 0]
         assert negatives == sorted(negatives)  # strictly increasing toward 0
         assert len(set(negatives)) == len(negatives)
+
+
+def _realization_start(a, b, c):
+    """The witness tuple that ``realize_triangle`` descends from, built as it builds it."""
+    triple = (a, b, c)
+    order = min(((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)),
+                key=lambda p: (triple[p[2]], p))
+    pa, pb, pc = (triple[index] for index in order)
+    a1, b2 = coefficient_witness(pa, pb, pc)
+    if a1 < 0:
+        pa, pb = pb, pa
+        a1, b2 = b2, a1
+    return CoeffTuple(a1, pb, pa - b2, b2, 0, 1)
+
+
+#: the accordion ladder of the bench ``realize`` workload
+REALIZE_LADDER = [(44, 1, 1), (50, 1, 1), (56, 1, 1), (62, 1, 1), (68, 1, 1), (76, 1, 1),
+                  (48, 47, 1), (54, 53, 1), (60, 59, 1), (66, 65, 1), (72, 71, 1)]
+
+realizable_triples = st.tuples(*[st.integers(min_value=1, max_value=10**6)] * 3).filter(
+    lambda t: classify_triangle(*t))
+
+
+def _ladder_examples(test):
+    for triple in REALIZE_LADDER:
+        test = example(triple)(test)
+    return test
+
+
+@settings(deadline=None, max_examples=50)
+@given(realizable_triples)
+@_ladder_examples
+@example((28657, 46368, 75025))  # consecutive Fibonacci labels: long runs of s = 1
+@example((1000, 999, 1))
+def test_jumped_descent_matches_the_step_oracle(triple):
+    """The descent by runs ends on the last tuple the step-by-step descent visits."""
+    start = _realization_start(*triple)
+    assert iceberg_descent(start) == list(descent_steps(start))[-1]
+
+
+def test_jumped_descent_matches_the_step_oracle_on_small_starts():
+    """The starts of ``test_descent_on_random_admissible_triples``, and a start
+    with a1 = 0 and a negative coordinate, which both complete at once."""
+    rng = random.Random(2024)
+    starts = [_normalized_witness_tuple(*_random_admissible_triple(rng))[0] for _ in range(500)]
+    for start in starts + [CoeffTuple(0, -1, 0, -1, 2, -3)]:
+        assert iceberg_descent(start) == list(descent_steps(start))[-1]
+    assert iceberg_descent(CoeffTuple(0, -1, 0, -1, 2, -3)) == CoeffTuple(0, 1, 2, 1, 0, 1)
 
 
 def test_realize_triangle_examples():

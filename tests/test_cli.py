@@ -430,6 +430,35 @@ def test_realize_refuses_a_gcd_of_two_large_primes_at_once():
     assert "MAX_VERTICES = 100000" in lines[0]
 
 
+
+def test_realize_refuses_17_digit_fibonacci_labels_at_once():
+    """(F80, F81, F82): the descent jumps its runs, so the size check refuses at once."""
+    start = time.perf_counter()
+    done = run_frieze(["realize-triangle", "23416728348467685", "37889062373143906",
+                       "61305790721611591"], stdout=subprocess.PIPE)
+    assert time.perf_counter() - start < 1
+    assert done.returncode == 1 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "validation"
+    assert "MAX_VERTICES = 100000" in lines[0]
+
+
+def test_enumerate_budget_before_a_huge_congruence_class():
+    """A boundary entry of 60, 100 or 1000 bounds the quiddity by about 2.6e7,
+    2.0e8 or 2.0e12, and level 0 steps through all of them: the search meets
+    its budget after 10 values, under a 1 GiB address-space limit, instead of
+    listing the level's candidates first."""
+    for entry in ("60", "100", "1000"):
+        argv = ["enumerate", "--boundary", f"1,{entry},1,1,1,1", "--domain", "nat",
+                "--max-nodes", "10"]
+        start = time.perf_counter()
+        done = run_frieze(argv, stdout=subprocess.PIPE, preexec_fn=_address_space_1gib)
+        assert time.perf_counter() - start < 1, argv
+        assert done.returncode == 1 and done.stdout == "", argv
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "validation", argv
+        assert "budget of 10 nodes" in lines[0]
+
 def test_validate_fails_fast_on_a_huge_or_broken_map():
     """Each input exits 2 with its one JSON line, under a 1 GiB address-space
     limit: a map that built its m**2 table before its count check would die."""

@@ -265,6 +265,28 @@ def test_walk_running_index_matches_modular_oracle(case):
     assert [type(v) for v in walked] == [type(v) for v in expected]
 
 
+#: Unit boundary cycles, with the entry types their walks give: only int 1s
+#: take the inlined loop, and a ``Fraction(1)`` anywhere makes d x a ``Fraction``.
+UNIT_WALKS = [
+    ((1, 1, 1, 1, 1), [1, 3, 1, 2, 2], (-1, 0), {int}),
+    ([1, 1, 1, 1, 1], [1, 3, 1, 2, 2], (Fraction(-1), 0), {Fraction}),
+    ([1, 1, 1, 1, 1], [Fraction(1, 2), 3, -1, 2, 2], (-1, 0), {int, Fraction}),
+    ([Fraction(1)] * 5, [1, 3, 1, 2, 2], (-1, 0), {Fraction}),
+    ([1, 1, Fraction(1), 1, 1], [1, 3, 1, 2, 2], (-1, 0), {int, Fraction}),
+    ([Fraction(1), 1, 1], [2, 2, 2], (0, 1), {Fraction}),
+]
+
+
+@pytest.mark.parametrize("d, q, seed, types", UNIT_WALKS)
+def test_unit_walk_types_match_the_oracle(d, q, seed, types):
+    for k, steps in ((1, len(d) - 1), (0, 3 * len(d)), (-2, 1)):
+        walked = _walk(*seed, d, q, k, steps)
+        expected = walk_oracle(*seed, d, q, k, steps)
+        assert type(walked) is list and walked == expected
+        assert [type(v) for v in walked] == [type(v) for v in expected]
+    assert {type(v) for v in _walk(*seed, d, q, 0, 3 * len(d))} == types
+
+
 def cycles_oracle(boundary, quiddity):
     """The two-pass ``_cycles``: each cycle coerced and cleared on its own, then rescaled to one L."""
     big_d, (d,) = _cleared(([as_scalar(v) for v in boundary],))
