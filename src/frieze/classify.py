@@ -149,10 +149,16 @@ def _descent_target(t: CoeffTuple) -> tuple[int, int, int]:
 
 
 def _completed(target: tuple[int, int, int]) -> CoeffTuple:
-    """The nonnegative tuple with a1 = 0 and the given delta."""
+    """The nonnegative tuple with a1 = 0 and the given delta.
+
+    A start with a1 = 0 completes as (0, 1, a - c, c, 0, 1), whose delta is
+    (a, 1, c); a target whose second component is not 1 raises ``ValueError``.
+    """
     a, _, c = target
     final = CoeffTuple(0, 1, a - c, c, 0, 1)
-    assert delta(final) == target
+    if delta(final) != target:
+        raise ValueError(f"an a1 = 0 start completes as (0, 1, a - c, c, 0, 1) = "
+                         f"{tuple(final)}, whose delta {delta(final)} is not {target}")
     return final
 
 

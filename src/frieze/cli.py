@@ -5,6 +5,15 @@ parse error, which includes a bad or missing flag and a stdout closed by
 its reader.  Errors are reported on stderr as single-line JSON.  ``main``
 is the one place that maps errors to exit codes: commands raise a
 ``ValueError``, ``_UsageError`` or ``_ValidationFailure`` and it reports.
+
+There is one argparse parser per process, ``_PARSER``, built when this
+module is imported; ``main`` only parses with it, so calling ``main`` many
+times in one process does not rebuild it (building the ten parsers costs
+some thirty times as much as parsing one argv).  Reusing it is safe:
+``parse_args`` makes a fresh ``Namespace`` on every call and does not
+change the parser, help text is wrapped to ``COLUMNS`` when it is printed,
+not when the parser is built, ``prog`` is fixed, and every default and
+help string is a constant fixed at import.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ import json
 import os
 import sys
 
+from . import triangulation
 from .classify import classify_triangle, realize_triangle
 from .core import (frieze_from_json, frieze_to_json, grid_from_polygon,
                    to_polygon, validate_local, validate_tame)
@@ -124,10 +134,21 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _table_frieze(tri: Triangulation):
+    """The classic frieze of ``tri``, refused above the cap on its m x m table.
+
+    The cap is read here, at call time, so a patched value takes effect.
+    """
+    cap = triangulation.MAX_TABLE_VERTICES
+    if tri.m > cap:
+        raise _ValidationFailure(f"the frieze of a {tri.m}-gon is above the limit of "
+                                 f"MAX_TABLE_VERTICES = {cap} vertices")
+    return frieze_from_triangulation(tri)
+
+
 def _cmd_from_triangulation(args) -> int:
     tri = triangulation_from_json(_load_json(args.file))
-    _emit(json.dumps(frieze_to_json(frieze_from_triangulation(tri)), indent=2) + "\n",
-          args.output)
+    _emit(json.dumps(frieze_to_json(_table_frieze(tri)), indent=2) + "\n", args.output)
     return EXIT_OK
 
 
@@ -183,7 +204,7 @@ def _cmd_render(args) -> int:
         raise _UsageError("--mark applies only to --format svg")
     obj = _load_any(args.file)
     if args.format == "ascii":
-        f = frieze_from_triangulation(obj) if isinstance(obj, Triangulation) else obj
+        f = _table_frieze(obj) if isinstance(obj, Triangulation) else obj
         _emit(render_ascii(f), args.output)
     else:
         mark = tuple(int(part) for part in args.mark.split(",")) if args.mark else None
@@ -193,6 +214,10 @@ def _cmd_render(args) -> int:
 
 _SIZE_LIMIT = (f"Builds a polygon of at most {MAX_VERTICES} vertices; a larger one "
                "exits 1 before it is built.")
+
+_TABLE_LIMIT = ("The frieze of a triangulation is an m x m table: it is built for at most "
+                f"MAX_TABLE_VERTICES = {triangulation.MAX_TABLE_VERTICES} vertices, and a "
+                "larger triangulation exits 1 before it is built.")
 
 _FACTOR_LIMIT = (" To size it, the gcd of two labels is factored: trial division to 10**4, "
                  f"then Pollard-Brent within RHO_BUDGET = {RHO_BUDGET} steps (about a "
@@ -234,7 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("from-triangulation", help="triangulation JSON -> frieze JSON")
+    p = sub.add_parser("from-triangulation", help="triangulation JSON -> frieze JSON",
+                       description=_TABLE_LIMIT)
     p.add_argument("file")
     add_output(p)
     p.set_defaults(func=_cmd_from_triangulation)
@@ -276,7 +302,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         "lets step to integer entries; past it the command exits 1")
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("render", help="draw a frieze or triangulation")
+    p = sub.add_parser("render", help="draw a frieze or triangulation",
+                       description="An ASCII drawing of a triangulation draws its frieze. "
+                                   + _TABLE_LIMIT)
     p.add_argument("file")
     p.add_argument("--format", choices=("ascii", "svg"), default="ascii")
     p.add_argument("--mark", default=None, help="three distinct vertices i,j,k to highlight (svg only)")
@@ -286,9 +314,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
+    """Run one ``frieze`` command and return its exit code (0, 1 or 2).
+
+    ``argv`` defaults to ``sys.argv[1:]``.  It may be called any number of
+    times in one process: every call parses with the module's one parser,
+    which keeps nothing from an earlier call.
+    """
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except SystemExit:  # argparse exits only after printing --help
         return EXIT_OK

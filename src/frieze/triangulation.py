@@ -26,6 +26,13 @@ from .propagation import _walk
 #: request above it raises ``ValueError`` before anything is allocated.
 MAX_VERTICES = 100_000
 
+#: Largest triangulation whose classic frieze the ``from-triangulation``
+#: command and the ASCII ``render`` of a triangulation build.  The frieze is
+#: an m x m table, so an O(m) document asks for O(m^2) time and memory; the
+#: commands refuse a larger one before building it.  The library functions
+#: take no cap.
+MAX_TABLE_VERTICES = 2_000
+
 
 class Triangulation:
     """A triangulation of a convex m-gon: m - 3 pairwise noncrossing diagonals.

@@ -1,0 +1,115 @@
+"""Write ``manifest.json``: the golden outputs of the ``frieze`` command.
+
+    python tests/golden/regenerate.py [SRC]
+
+Runs every case in ``CASES`` through ``frieze.cli.main`` in one process,
+with the package imported from SRC (default: the ``src`` directory of this
+checkout), and records each case's argv, stdin, exit code and the SHA-256
+of its stdout and of its stderr.  Input documents are given on stdin
+through ``-``, so no case reads or writes a file.  Help text is wrapped at
+``COLUMNS`` = 80, and the manifest notes the Python version, since argparse
+lays out help differently across versions.  Stdlib only.
+
+``tests/test_cli.py`` replays the manifest.  A change that means to alter
+an output regenerates the manifest and names the cases whose hashes moved.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+COLUMNS = "80"
+
+SQUARE = {"m": 4, "entries": {"1,2": "7", "1,3": "9", "1,4": "3",
+                              "2,3": "5", "2,4": "4", "3,4": "3"}}
+HEX_TRI = {"m": 6, "diagonals": [[2, 4], [2, 5], [2, 6]]}
+HEX_FRIEZE = {"m": 6, "entries": {
+    "1,2": "1", "1,3": "4", "1,4": "3", "1,5": "2", "1,6": "1", "2,3": "1", "2,4": "1",
+    "2,5": "1", "2,6": "1", "3,4": "1", "3,5": "2", "3,6": "3", "4,5": "1", "4,6": "2",
+    "5,6": "1"}}
+CORRUPTED = {"m": 4, "entries": {**SQUARE["entries"], "1,3": "10"}}
+
+F80_F81_F82 = ["23416728348467685", "37889062373143906", "61305790721611591"]
+P = str(10**18 + 3)
+COMMANDS = ("build", "validate", "from-triangulation", "cut", "accordion",
+            "classify-triangle", "realize-triangle", "enumerate", "render")
+
+#: (argv, stdin document or None)
+CASES = [
+    # the README examples
+    (["build", "--boundary", "3,7,5,3", "--quiddity", "4,9,4,9"], None),
+    (["validate", "-"], SQUARE),
+    (["render", "-", "--format", "ascii"], SQUARE),
+    (["from-triangulation", "-"], HEX_TRI),
+    (["cut", "-", "--verts", "1,2,3,5"], HEX_FRIEZE),
+    (["classify-triangle", "1", "2", "2"], None),
+    (["realize-triangle", "2", "3", "1"], None),
+    (["realize-triangle", *["1000000016000000063"] * 3], None),
+    (["accordion", "4", "3"], None),
+    (["enumerate", "--boundary", "3,7,5,3", "--domain", "nat"], None),
+    (["enumerate", "--boundary", "6,1,8,6,3", "--domain", "nat", "--max-nodes", "1000"], None),
+    (["render", "-", "--format", "svg", "--mark", "1,3,5"], HEX_TRI),
+    # help
+    (["--help"], None),
+    *(([command, "--help"], None) for command in COMMANDS),
+    # the exit-1 and exit-2 kinds of the benchmark's cli workload
+    (["build", "--boundary", "3,7,5,3", "--quiddity", "4,8,4,8"], None),
+    (["validate", "-"], CORRUPTED),
+    (["accordion", "4", "6"], None),
+    (["realize-triangle", "1", "2", "2"], None),
+    (["build", "--boundary", "1,x,1", "--quiddity", "1,1,1"], None),
+    (["enumerate", "--boundary", "1,1,1,1", "--domain", "bogus"], None),
+    # enumeration over each kind of domain
+    (["enumerate", "--boundary", "1,1,1,1,1,1,1", "--domain", "nonzero-int"], None),
+    (["enumerate", "--boundary", "1,1,1,1,1,1", "--domain", "scaled:1/2"], None),
+    (["enumerate", "--boundary=-2/3,-2/3,-2/3,-2/3,-2/3", "--domain", "scaled:-2/3"], None),
+    (["enumerate", "--boundary", "1,1,1,1,1", "--domain", "set:1,2,3"], None),
+    # realize-triangle refusals
+    (["realize-triangle", *F80_F81_F82], None),
+    (["realize-triangle", P, P, P], None),
+]
+
+
+def run(main, argv: list[str], stdin: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one ``main(argv)`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def main(src: Path) -> None:
+    sys.path.insert(0, str(src))
+    os.environ["COLUMNS"] = COLUMNS
+    from frieze.cli import main as frieze_main
+
+    cases = []
+    for argv, doc in CASES:
+        stdin = "" if doc is None else json.dumps(doc)
+        code, out, err = run(frieze_main, argv, stdin)
+        cases.append({"argv": argv, "stdin": stdin, "exit": code,
+                      "stdout_sha256": sha256(out), "stderr_sha256": sha256(err)})
+    head = {"python": "%d.%d" % sys.version_info[:2], "columns": COLUMNS}
+    lines = ",\n".join(json.dumps(case) for case in cases)  # one case a line, for diffs
+    text = json.dumps(head)[:-1] + ', "cases": [\n' + lines + "\n]}\n"
+    (HERE / "manifest.json").write_text(text, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else HERE.parent.parent / "src")

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -105,6 +109,33 @@ def test_descent_validates_input_shape():
         iceberg_descent(CoeffTuple(-1, 3, 1, 1, 0, 1))
     with pytest.raises(ValueError):
         iceberg_descent(CoeffTuple(2, 4, 1, 0, 0, 1))
+
+
+#: passes every input check (delta (3, 2, 1)), but a1 = 0 completes only a
+#: delta whose second component is 1
+A1_ZERO_START = CoeffTuple(0, 1, 2, 1, 3, -1)
+
+
+def test_descent_refuses_an_a1_zero_start_it_cannot_complete():
+    assert delta(A1_ZERO_START) == (3, 2, 1)
+    message = r"\(0, 1, 2, 1, 0, 1\), whose delta \(3, 1, 1\) is not \(3, 2, 1\)"
+    with pytest.raises(ValueError, match=message):
+        iceberg_descent(A1_ZERO_START)
+    with pytest.raises(ValueError, match=message):
+        list(descent_steps(A1_ZERO_START))
+
+
+def test_descent_refuses_an_a1_zero_start_under_optimize():
+    """The refusal is a check, not an assert, so ``python -O`` keeps it."""
+    src = Path(frieze.__file__).resolve().parent.parent
+    code = ("from frieze import CoeffTuple, iceberg_descent\n"
+            "try:\n"
+            f"    print(iceberg_descent(CoeffTuple{tuple(A1_ZERO_START)}))\n"
+            "except ValueError:\n"
+            "    print('ValueError')\n")
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ValueError\n", "")
 
 
 def _random_admissible_triple(rng, limit=50):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -566,3 +567,133 @@ def test_every_input_ends_in_a_documented_exit(argv, stdin):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == ("validation" if code == 1 else "usage")
+
+
+# -- one parser per process ----------------------------------------------------
+
+@contextlib.contextmanager
+def fresh_parser():
+    """Run ``main`` on a newly built parser in place of the shared one.
+
+    A plain context manager, not the ``monkeypatch`` fixture, so it also
+    works inside a ``@given`` test."""
+    shared = frieze.cli._PARSER
+    frieze.cli._PARSER = frieze.cli._build_parser()
+    try:
+        yield
+    finally:
+        frieze.cli._PARSER = shared
+
+
+def run_fresh(argv, stdin=""):
+    with fresh_parser():
+        return run_in_process(argv, stdin)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(argvs, stdins), min_size=1, max_size=3))
+def test_the_shared_parser_answers_as_a_fresh_one(calls):
+    """A few calls in a row on the shared parser, each against a fresh one."""
+    shared = [run_in_process(list(argv), stdin) for argv, stdin in calls]
+    assert shared == [run_fresh(list(argv), stdin) for argv, stdin in calls]
+
+
+def test_help_is_wrapped_to_columns_when_printed(monkeypatch):
+    texts = {}
+    for columns in ("40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for argv in (["--help"], ["enumerate", "--help"]):
+            shared = run_in_process(argv, "")
+            assert shared[0] == 0 and shared == run_fresh(argv)
+            texts[columns, argv[0]] = shared[1]
+    assert texts["40", "--help"] != texts["200", "--help"]
+    assert texts["40", "enumerate"] != texts["200", "enumerate"]
+
+
+def test_a_usage_error_leaves_nothing_for_the_next_call(tmp_path):
+    calls = [["build", "-o", str(tmp_path / "missing" / "x.json"), "--boundary", "3,7,5,3"],
+             ["build", "--boundary", "3,7,5,3", "--quiddity", "4,9,4,9"]]
+    shared = [run_in_process(argv, "") for argv in calls]
+    assert [code for code, _, _ in shared] == [2, 0]
+    assert shared == [run_fresh(argv) for argv in calls]
+
+
+# -- the vertex cap on a triangulation's frieze table --------------------------
+
+def fan(m):
+    return {"m": m, "diagonals": [[1, k] for k in range(3, m)]}
+
+
+TABLE_COMMANDS = (["from-triangulation", "-"], ["render", "-", "--format", "ascii"])
+
+
+def test_table_cap_refuses_a_20000_vertex_fan_at_once():
+    """A 20,000-vertex fan is a small document with a 4e8-entry frieze: both
+    commands exit 1 at once, under a 1 GiB address-space limit."""
+    text = json.dumps(fan(20_000))
+    for argv in TABLE_COMMANDS:
+        start = time.perf_counter()
+        done = run_frieze(argv, input=text, stdout=subprocess.PIPE,
+                          preexec_fn=_address_space_1gib)
+        assert time.perf_counter() - start < 1, argv
+        assert done.returncode == 1 and done.stdout == "", argv
+        assert done.stderr.splitlines() == [json.dumps({
+            "error": "validation", "message": "the frieze of a 20000-gon is above the limit "
+                                              "of MAX_TABLE_VERTICES = 2000 vertices"})]
+
+
+def test_table_cap_is_read_at_call_time(monkeypatch):
+    """At the cap the output is the uncapped one; one vertex above, exit 1.
+    The library builds the frieze whatever the cap."""
+    docs = {m: json.dumps(fan(m)) for m in (12, 13)}
+    uncapped = {(m, argv[0]): run_in_process(argv, docs[m])
+                for m in docs for argv in TABLE_COMMANDS}
+    monkeypatch.setattr(frieze.triangulation, "MAX_TABLE_VERTICES", 12)
+    for argv in TABLE_COMMANDS:
+        assert run_in_process(argv, docs[12]) == uncapped[12, argv[0]]
+        assert uncapped[12, argv[0]][0] == uncapped[13, argv[0]][0] == 0
+        code, out, err = run_in_process(argv, docs[13])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["message"] == ("the frieze of a 13-gon is above the limit "
+                                              "of MAX_TABLE_VERTICES = 12 vertices")
+    assert frieze_from_triangulation(Triangulation(13, fan(13)["diagonals"])).m == 13
+
+
+def test_help_names_the_table_cap(capsys):
+    for command in ("from-triangulation", "render"):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and "MAX_TABLE_VERTICES = 2000 vertices" in " ".join(out.split())
+
+
+# -- the golden corpus ---------------------------------------------------------
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "manifest.json").read_text())
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def golden_record(code, out, err):
+    return {"exit": code, "stdout_sha256": sha256(out), "stderr_sha256": sha256(err)}
+
+
+def golden_expected(case):
+    expected = {key: case[key] for key in ("exit", "stdout_sha256", "stderr_sha256")}
+    if case["argv"][-1] == "--help" and GOLDEN["python"] != "%d.%d" % sys.version_info[:2]:
+        del expected["stdout_sha256"]  # argparse lays out help differently across versions
+    return expected
+
+
+def test_golden_corpus_replays_in_one_process(monkeypatch):
+    """Every case of ``golden/manifest.json`` through ``main``, forward and
+    then reversed in one process, plus one ``python -m frieze`` subprocess."""
+    monkeypatch.setenv("COLUMNS", GOLDEN["columns"])
+    cases = GOLDEN["cases"]
+    for case in cases + cases[::-1]:
+        record = golden_record(*run_in_process(case["argv"], case["stdin"]))
+        expected = golden_expected(case)
+        assert {key: record[key] for key in expected} == expected, case["argv"]
+    case = next(c for c in cases if c["argv"] == ["from-triangulation", "-"])
+    done = run_frieze(case["argv"], input=case["stdin"], stdout=subprocess.PIPE)
+    assert golden_record(done.returncode, done.stdout, done.stderr) == golden_expected(case)
