@@ -318,19 +318,21 @@ def separating_unit_triangle(
     pairs the classic frieze labels 1; one always exists.  When (i, j, k)
     is itself a face -- in particular when j = i + 1 and the edge (i, j)
     lies in some triangle of the triangulation -- the face itself qualifies.
+    Each vertex's segment neighbours are collected once, in O(m).  A segment
+    (i', j') bounds a face on each side at most, and the vertices strictly
+    between i' and j' lie off [k..i]: k' is their one common neighbour there.
     """
     m = t.m
     if not (1 <= i < j < k <= m):
         raise ValueError("need 1 <= i < j < k <= m")
-    arc_ij = list(range(i, j + 1))
-    arc_jk = list(range(j, k + 1))
-    arc_ki = list(range(k, m + 1)) + list(range(1, i + 1))
-    for ip in arc_ij:
-        for jp in arc_jk:
-            if not t.is_segment(ip, jp):
-                continue
-            for kp in arc_ki:
-                if t.is_segment(jp, kp) and t.is_segment(kp, ip):
+    near = [set()] + [{v % m + 1, v - 1 or m} for v in range(1, m + 1)]  # segment neighbours
+    for p, q in t.diagonals:
+        near[p].add(q)
+        near[q].add(p)
+    for ip in range(i, j + 1):
+        for jp in sorted(w for w in near[ip] if j <= w <= k):
+            for kp in near[ip] & near[jp]:  # the apexes of the faces on (i', j')
+                if kp >= k or kp <= i:  # on [k..i]
                     return ip, jp, kp
     raise AssertionError("no separating unit triangle found")  # pragma: no cover
 

@@ -24,7 +24,7 @@ import json
 import os
 import sys
 
-from . import triangulation
+from . import render, triangulation
 from .classify import classify_triangle, realize_triangle
 from .core import (frieze_from_json, frieze_to_json, grid_from_polygon,
                    to_polygon, validate_local, validate_tame)
@@ -134,15 +134,16 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _table_frieze(tri: Triangulation):
-    """The classic frieze of ``tri``, refused above the cap on its m x m table.
+def _refuse_above(m: int, what: str, name: str, cap: int) -> None:
+    """Exit 1 above a size cap, which callers read at call time so a patch takes effect."""
+    if m > cap:
+        raise _ValidationFailure(f"{what} of a {m}-gon is above the limit of "
+                                 f"{name} = {cap} vertices")
 
-    The cap is read here, at call time, so a patched value takes effect.
-    """
-    cap = triangulation.MAX_TABLE_VERTICES
-    if tri.m > cap:
-        raise _ValidationFailure(f"the frieze of a {tri.m}-gon is above the limit of "
-                                 f"MAX_TABLE_VERTICES = {cap} vertices")
+
+def _table_frieze(tri: Triangulation):
+    """The classic frieze of ``tri``, refused above the cap on its m x m table."""
+    _refuse_above(tri.m, "the frieze", "MAX_TABLE_VERTICES", triangulation.MAX_TABLE_VERTICES)
     return frieze_from_triangulation(tri)
 
 
@@ -207,6 +208,7 @@ def _cmd_render(args) -> int:
         f = _table_frieze(obj) if isinstance(obj, Triangulation) else obj
         _emit(render_ascii(f), args.output)
     else:
+        _refuse_above(obj.m, "the drawing", "SVG_MAX_VERTICES", render.SVG_MAX_VERTICES)
         mark = tuple(int(part) for part in args.mark.split(",")) if args.mark else None
         _emit(render_svg(obj, mark=mark), args.output)
     return EXIT_OK

@@ -3,13 +3,13 @@
 A triangulation is read as its quiddity: vertex w carries q(w), the number
 of triangles at w (1 + the diagonals at w).  One walk of the package's
 row recurrence at unit boundary, c(v, w+1) = q(w) c(v, w) - c(v, w-1),
-computes a whole row of the classic frieze at once; running it from every
-vertex fills in the polygon map.  The triangle-sum labelling (every
-triangle labels its third corner with the sum of the other two) gives the
-same rows and is kept in the tests as the oracle.  The accordion
-construction runs the Euclidean algorithm backwards along a number line to
-plant two prescribed coprime labels across a unit edge, and three-way
-gluing welds marked edges onto a central unit triangle.
+computes a whole row of the classic frieze at once; by symmetry it also
+steps whole rows, which fill in the polygon map.  The triangle-sum
+labelling (every triangle labels its third corner with the sum of the
+other two) gives the same rows and is kept in the tests as the oracle.
+The accordion construction runs the Euclidean algorithm backwards along a
+number line to plant two prescribed coprime labels across a unit edge, and
+three-way gluing welds marked edges onto a central unit triangle.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ class Triangulation:
         if m < 3:
             raise ValueError("polygon needs at least 3 vertices")
         diags = set()
-        for pair in diagonals:
-            p, q = sorted(pair)
+        for p, q in map(tuple, diagonals):  # tuple() reports a non-iterable pair as "not iterable"
+            if q < p:
+                p, q = q, p
             if not (1 <= p < q <= m):
                 raise ValueError(f"diagonal ({p}, {q}) outside 1..{m}")
             if q - p == 1 or (p, q) == (1, m):
@@ -60,7 +61,7 @@ class Triangulation:
             raise ValueError(f"a triangulated {m}-gon has {m - 3} diagonals, "
                              f"got {len(diags)}")
         open_chords: list[tuple[int, int]] = []
-        for p, q in sorted(diags, key=lambda pair: (pair[0], -pair[1])):
+        for p, q in sorted(sorted(diags, key=itemgetter(1), reverse=True), key=itemgetter(0)):
             while open_chords and open_chords[-1][1] <= p:
                 open_chords.pop()
             if open_chords and open_chords[-1][1] < q:
@@ -168,14 +169,23 @@ def cc_labels_from(t: Triangulation, v: int) -> list:
 def frieze_from_triangulation(t: Triangulation) -> FriezeMap:
     """The classic Conway-Coxeter frieze of a triangulation, as a polygon map.
 
+    Walks rows m and 1, then steps whole rows by the recurrence in the first
+    index, row v+1 = q(v) row v - row v-1 (as c(v, w) = c(w, v)), and sets
+    the one cell where it gives the walk's start -1: the edge c(v+1, v) = 1.
+
     Asserts the characteristic facts along the way: the labelling is
-    symmetric in its two vertices, every edge carries 1, and the non-edge
-    pairs carrying 1 are exactly the diagonals of the triangulation.  The
-    checked table is the map's, one shared ``Fraction`` per distinct label;
-    the map clears it to ints on first use, which keeps peak memory down.
+    symmetric (the walked rows against the stepped ones), every edge carries
+    1, and the non-edge pairs carrying 1 are exactly the diagonals of the
+    triangulation.  The checked table is the map's, one shared ``Fraction``
+    per distinct label; the map clears it to ints on first use, which keeps
+    peak memory down.
     """
     m = t.m
-    table = [cc_labels_from(t, v)[1:] for v in range(1, m + 1)]  # table[p-1][q-1] = c(p, q)
+    table = [cc_labels_from(t, m)[1:], cc_labels_from(t, 1)[1:]]  # rows m, 1, 2, ...
+    for v, qv in enumerate(t._quiddity[:m - 2], 1):  # row v+1 = q(v) row v - row v-1
+        table.append([qv * y - x for x, y in zip(table[-2], table[-1])])
+        table[-1][v - 1] = 1  # c(v+1, v): the edge
+    table.append(table.pop(0))  # table[p-1][q-1] = c(p, q)
     assert table == list(map(list, zip(*table))), "labelling must be symmetric"
     assert all(table[p - 1][p % m] == 1 for p in range(1, m + 1)), "edges must carry 1"
     # the edges and diagonals carry 1, so by symmetry they are all the unit

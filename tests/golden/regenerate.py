@@ -36,6 +36,15 @@ HEX_FRIEZE = {"m": 6, "entries": {
     "5,6": "1"}}
 CORRUPTED = {"m": 4, "entries": {**SQUARE["entries"], "1,3": "10"}}
 
+
+def fan(m: int) -> dict:
+    """The triangulation of the m-gon by the diagonals at vertex 1."""
+    return {"m": m, "diagonals": [[1, q] for q in range(3, m)]}
+
+
+# the triangulation printed by ``frieze accordion 21 13``
+ACCORDION_21_13 = {"m": 9, "diagonals": [[2, 8], [2, 9], [3, 7], [3, 8], [4, 6], [4, 7]]}
+
 F80_F81_F82 = ["23416728348467685", "37889062373143906", "61305790721611591"]
 P = str(10**18 + 3)
 COMMANDS = ("build", "validate", "from-triangulation", "cut", "accordion",
@@ -74,6 +83,16 @@ CASES = [
     # realize-triangle refusals
     (["realize-triangle", *F80_F81_F82], None),
     (["realize-triangle", P, P, P], None),
+    # classic friezes and realizations of the benchmark's larger polygons
+    (["from-triangulation", "-"], fan(12)),
+    (["from-triangulation", "-"], ACCORDION_21_13),
+    (["render", "-", "--format", "ascii"], fan(12)),
+    (["realize-triangle", "44", "1", "1"], None),
+    (["realize-triangle", "48", "47", "1"], None),
+    (["realize-triangle", "72", "71", "1"], None),
+    # the SVG size cap: the largest polygon drawn and the smallest refused
+    (["render", "-", "--format", "svg"], fan(64)),
+    (["render", "-", "--format", "svg"], fan(65)),
 ]
 
 

@@ -18,6 +18,7 @@ from frieze import (CoeffTuple, cc_labels_from, classify_triangle,
                     frieze_from_triangulation, gamma_t, iceberg_descent,
                     in_coefficient_set, realize_triangle,
                     separating_unit_triangle)
+from triangulation_oracles import REALIZE_LADDER, separating_by_segments
 
 ints = st.integers(min_value=-40, max_value=40)
 
@@ -187,10 +188,6 @@ def _realization_start(a, b, c):
     return CoeffTuple(a1, pb, pa - b2, b2, 0, 1)
 
 
-#: the accordion ladder of the bench ``realize`` workload
-REALIZE_LADDER = [(44, 1, 1), (50, 1, 1), (56, 1, 1), (62, 1, 1), (68, 1, 1), (76, 1, 1),
-                  (48, 47, 1), (54, 53, 1), (60, 59, 1), (66, 65, 1), (72, 71, 1)]
-
 realizable_triples = st.tuples(*[st.integers(min_value=1, max_value=10**6)] * 3).filter(
     lambda t: classify_triangle(*t))
 
@@ -264,6 +261,26 @@ def test_separating_unit_triangle_matches_label_oracle():
             for i, j, k in combinations(range(1, m + 1), 3):
                 assert (separating_unit_triangle(tri, i, j, k)
                         == separating_by_labels(tables, m, i, j, k)), (tri, i, j, k)
+
+
+def test_separating_unit_triangle_matches_the_segment_scan_up_to_9_vertices():
+    for m in range(3, 10):
+        for tri in enumerate_triangulations(m):
+            for i, j, k in combinations(range(1, m + 1), 3):
+                assert (separating_unit_triangle(tri, i, j, k)
+                        == separating_by_segments(tri, i, j, k)), (tri, i, j, k)
+
+
+def test_separating_unit_triangle_matches_the_segment_scan_on_the_realize_ladder():
+    """The realized triple and 300 seeded triples of each ladder polygon."""
+    rng = random.Random(18)
+    for triple in REALIZE_LADDER:
+        tri, vertices = realize_triangle(*triple)
+        triples = [tuple(sorted(vertices))]
+        triples += [tuple(sorted(rng.sample(range(1, tri.m + 1), 3))) for _ in range(300)]
+        for i, j, k in triples:
+            assert (separating_unit_triangle(tri, i, j, k)
+                    == separating_by_segments(tri, i, j, k)), (tri, i, j, k)
 
 
 def test_decompose_hexagon(hexagon_fan):

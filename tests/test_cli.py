@@ -665,6 +665,39 @@ def test_help_names_the_table_cap(capsys):
         assert code == 0 and "MAX_TABLE_VERTICES = 2000 vertices" in " ".join(out.split())
 
 
+# -- the vertex cap on an SVG drawing ------------------------------------------
+
+SVG_COMMAND = ["render", "-", "--format", "svg"]
+
+
+def test_svg_cap_refuses_a_65_vertex_triangulation_and_frieze():
+    """Above SVG_MAX_VERTICES both kinds of document exit 1 with one
+    validation line, like the table cap; 64 vertices still draw."""
+    refusal = [json.dumps({"error": "validation", "message": "the drawing of a 65-gon is "
+                           "above the limit of SVG_MAX_VERTICES = 64 vertices"})]
+    tri65 = fan(65)
+    f65 = frieze_to_json(frieze_from_triangulation(Triangulation(65, tri65["diagonals"])))
+    for doc in (tri65, f65):
+        for argv in (SVG_COMMAND, [*SVG_COMMAND, "--mark", "1,2,3"]):
+            code, out, err = run_in_process(argv, json.dumps(doc))
+            assert (code, out, err.splitlines()) == (1, "", refusal), argv
+    f64 = frieze_to_json(frieze_from_triangulation(Triangulation(64, fan(64)["diagonals"])))
+    for doc in (fan(64), f64):
+        code, out, err = run_in_process([*SVG_COMMAND, "--mark", "1,20,40"], json.dumps(doc))
+        assert code == 0 and out.startswith("<svg") and out.count("<circle") == 64 and err == ""
+        code, out, err = run_in_process([*SVG_COMMAND, "--mark", "1,20,65"], json.dumps(doc))
+        assert code == 2 and out == "" and json.loads(err)["error"] == "usage"
+
+
+def test_svg_cap_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(frieze.render, "SVG_MAX_VERTICES", 12)
+    assert run_in_process(SVG_COMMAND, json.dumps(fan(12)))[0] == 0
+    code, out, err = run_in_process(SVG_COMMAND, json.dumps(fan(13)))
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"] == ("the drawing of a 13-gon is above the limit "
+                                          "of SVG_MAX_VERTICES = 12 vertices")
+
+
 # -- the golden corpus ---------------------------------------------------------
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "manifest.json").read_text())

@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 import frieze.triangulation
 from frieze import (FriezeMap, Triangulation, accordion, cc_labels_from, cut_subpolygon,
                     enumerate_triangulations, frieze_from_triangulation,
-                    glue_three, triangle_label_gcds_divide,
+                    glue_three, realize_triangle, triangle_label_gcds_divide,
                     triangulation_from_json, triangulation_to_json,
                     verify_all_ptolemy)
+from triangulation_oracles import REALIZE_LADDER, walk_table_frieze
 
 
 def catalan(n):
@@ -34,6 +35,43 @@ def test_constructor_validation():
         Triangulation(6, [(1, 6), (2, 5), (2, 6)])  # wrap edge passed as diagonal
     with pytest.raises(ValueError):
         Triangulation(6, [(2, 4)])  # wrong count
+
+
+#: (m, diagonals, exception, message), the messages copied from the
+#: constructor that sorted each pair and the chords by a key function
+CONSTRUCTOR_ERRORS = [
+    (5, [5], TypeError, "'int' object is not iterable"),
+    (5, [None], TypeError, "'NoneType' object is not iterable"),
+    (5, [(3,)], ValueError, "not enough values to unpack (expected 2, got 1)"),
+    (5, [[]], ValueError, "not enough values to unpack (expected 2, got 0)"),
+    (5, [(1, 3, 4)], ValueError, "too many values to unpack (expected 2)"),
+    (5, [[1, 3, 4]], ValueError, "too many values to unpack (expected 2)"),
+    (5, [(1, "a")], TypeError, "'<' not supported between instances of 'str' and 'int'"),
+    (5, [("a", 1)], TypeError, "'<' not supported between instances of 'int' and 'str'"),
+    (5, [(1, None)], TypeError, "'<' not supported between instances of 'NoneType' and 'int'"),
+    (5, [(1, 3 + 1j)], TypeError, "'<' not supported between instances of 'complex' and 'int'"),
+    (5, [(0, 3)], ValueError, "diagonal (0, 3) outside 1..5"),
+    (5, [(3, 6)], ValueError, "diagonal (3, 6) outside 1..5"),
+    (5, [(6, 3)], ValueError, "diagonal (3, 6) outside 1..5"),
+    (5, [(1, 2)], ValueError, "(1, 2) is a polygon edge, not a diagonal"),
+    (5, [(5, 1)], ValueError, "(1, 5) is a polygon edge, not a diagonal"),
+    (5, [(3, 2)], ValueError, "(2, 3) is a polygon edge, not a diagonal"),
+    (2, [], ValueError, "polygon needs at least 3 vertices"),
+    (5, [(1, 3)], ValueError, "a triangulated 5-gon has 2 diagonals, got 1"),
+    (5, [(1, 3), (3, 1)], ValueError, "a triangulated 5-gon has 2 diagonals, got 1"),
+    (5, [(1, 3), (1, 4), (2, 5)], ValueError, "a triangulated 5-gon has 2 diagonals, got 3"),
+    (6, [(1, 3), (2, 4), (4, 6)], ValueError, "diagonals (1, 3) and (2, 4) cross"),
+    (6, [(2, 5), (1, 3), (3, 6)], ValueError, "diagonals (1, 3) and (2, 5) cross"),
+    (6, [(4, 1), (5, 2), (2, 4)], ValueError, "diagonals (1, 4) and (2, 5) cross"),
+    (7, [(1, 4), (2, 6), (1, 5), (5, 7)], ValueError, "diagonals (1, 4) and (2, 6) cross"),
+]
+
+
+@pytest.mark.parametrize("m, diagonals, error, message", CONSTRUCTOR_ERRORS)
+def test_constructor_messages_are_pinned(m, diagonals, error, message):
+    with pytest.raises(error) as info:
+        Triangulation(m, diagonals)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def crosses(d1, d2):
@@ -162,6 +200,29 @@ def test_frieze_from_triangulation_matches_the_label_table(m, rng):
     f = frieze_from_triangulation(t)
     assert f == expected and f.sort_key() == expected.sort_key()
     assert all(type(v) is Fraction for _, v in f.pairs())
+
+
+def assert_same_map(f, expected):
+    """The same vertex table, entry types and number of shared entry objects."""
+    assert f.m == expected.m and f._table == expected._table
+    assert ([list(map(type, row)) for row in f._table]
+            == [list(map(type, row)) for row in expected._table])
+    assert (len({id(x) for row in f._table for x in row})
+            == len({id(x) for row in expected._table for x in row}))
+    assert f._ints is None and expected._ints is None
+
+
+def test_frieze_from_triangulation_matches_the_walk_table_up_to_9_vertices():
+    for m in range(3, 10):
+        for t in enumerate_triangulations(m):
+            assert_same_map(frieze_from_triangulation(t), walk_table_frieze(t))
+
+
+def test_frieze_from_triangulation_matches_the_walk_table_on_the_realize_ladder():
+    for triple in REALIZE_LADDER:
+        t, _ = realize_triangle(*triple)
+        assert_same_map(frieze_from_triangulation(t), walk_table_frieze(t))
+        assert_same_map(frieze_from_triangulation(t.reflected()), walk_table_frieze(t.reflected()))
 
 
 def test_cut_subpolygon(hexagon_frieze):
