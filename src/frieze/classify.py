@@ -92,25 +92,15 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-def _crt(residues: list[int], moduli: list[int]) -> int:
-    """Smallest nonnegative solution of k = r_i (mod m_i), moduli coprime."""
-    k, modulus = 0, 1
-    for r, m in zip(residues, moduli):
-        g, inv, _ = _extended_gcd(modulus % m, m)
-        assert g == 1
-        k += modulus * (((r - k) * inv) % m)
-        modulus *= m
-    return k % modulus
-
-
 def coefficient_witness(a: int, b: int, c: int) -> tuple[int, int]:
     """Integers (a1, b2) with a1*a + b*b2 = c, gcd(a1, b) = gcd(a, b2) = 1.
 
     Bezout on a/d and b/d gives a one-parameter family of solutions; a
     residue for the parameter is picked separately at each prime dividing
     d = gcd(a, b) (at p = 2 the choice is forced by the parity pattern of
-    a/d, b/d, c/d, which the classification condition makes favourable),
-    and the residues are combined by the Chinese Remainder Theorem.
+    a/d, b/d, c/d, which the classification condition makes favourable).
+    Each residue is merged into k by the Chinese Remainder Theorem as soon
+    as it is found, so k is the least nonnegative parameter with them all.
     """
     if not classify_triangle(a, b, c):
         raise ValueError(f"({a}, {b}, {c}) admits no coefficient witness")
@@ -118,16 +108,15 @@ def coefficient_witness(a: int, b: int, c: int) -> tuple[int, int]:
     ap, bp, cp = a // d, b // d, c // d
     g, u, v = _extended_gcd(ap, bp)
     assert g == 1
-    residues, moduli = [], []
-    for p in prime_factors(d) if d > 1 else []:
-        for k in range(p):
-            if (u * cp + k * bp) % p and (v * cp - k * ap) % p:
-                residues.append(k)
-                moduli.append(p)
+    k, modulus = 0, 1
+    for p in prime_factors(d):
+        for r in range(p):
+            if (u * cp + r * bp) % p and (v * cp - r * ap) % p:
+                k += modulus * ((r - k) * pow(modulus, -1, p) % p)
+                modulus *= p
                 break
         else:  # pragma: no cover - ruled out by the classification condition
             raise AssertionError(f"no usable residue mod {p}")
-    k = _crt(residues, moduli) if moduli else 0
     a1 = u * cp + k * bp
     b2 = v * cp - k * ap
     assert a1 * a + b * b2 == c and gcd(a1, b) == 1 and gcd(a, b2) == 1
@@ -274,10 +263,7 @@ def realize_triangle(a: int, b: int, c: int) -> tuple[Triangulation, tuple[int, 
     if not classify_triangle(a, b, c):
         raise ValueError(f"({a}, {b}, {c}) is not realizable")
     triple = (a, b, c)
-    order = min(
-        ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1), (2, 1, 0), (1, 0, 2)),
-        key=lambda p: (triple[p[2]], p),
-    )
+    order = min(permutations(range(3)), key=lambda p: (triple[p[2]], p))
     pa, pb, pc = (triple[index] for index in order)
     a1, b2 = coefficient_witness(pa, pb, pc)
     if a1 < 0:

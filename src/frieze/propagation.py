@@ -11,18 +11,17 @@ the product collapses to -Id exactly when the data closes up into a frieze.
 At unit boundary it is Conway-Coxeter's c(v, w+1) = q_w c(v, w) - c(v, w-1).
 The tests keep the explicit ``mu`` product as the kernel's oracle.
 
-The three entry points stay in ints from start to finish.  ``_cycles``
-clears both cycles to ints over one common denominator L in a single pass.
-The step is homogeneous of degree 1 in its window, so a walk on the
-cleared cycles from L times the seed gives L times the entries.  A row
-step that leaves a remainder does not switch the row to ``Fraction``
-arithmetic: the walk carries its window as ints (x, y) over a running int
-denominator D, multiplied by the remainder's reduced denominator and
-divided by gcd(x, y, D), and builds one ``Fraction(y, D)`` per entry.  A
-walk whose divisors are all the int 1 cannot leave a remainder, so it runs
-``_step`` at d = e = 1 written inline, c y - x, and checks nothing per
-step; the choice is made once per walk, from its boundary cycle.  A walk
-returns its entries as a list.
+The kernel takes int cycles and int windows only, and every caller hands
+it ints.  ``_cycles`` clears the rational cycles of the three entry points
+to ints over one common denominator L in a single pass.  The step is
+homogeneous of degree 1 in its window, so a walk on the cleared cycles
+from L times the seed gives L times the entries.  A row step that leaves
+a remainder does not switch the row to ``Fraction`` arithmetic: the walk
+carries its window as ints (x, y) over a running int denominator D and
+builds one ``Fraction(y, D)`` per entry.  A walk whose divisors are all 1
+cannot leave a remainder, so it runs ``_step`` at d = e = 1 written
+inline, c y - x; the choice is made once per walk, from its boundary
+cycle.  A walk returns its entries as a list.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .core import PatternGrid, _cleared
+from .core import PatternGrid
 from .scalars import as_scalar
 
 
@@ -110,63 +109,49 @@ def eta(c, d, e) -> Mat2:
 def _step(x, y, c, d, e):
     """The one row recurrence: (x, y) * mu(c, d, e) = (y, (c y - d x) / e).
 
-    Returns the new entry (c y - d x) / e.  The division is exact: an int
-    numerator gives an int quotient when the int divisor e divides and a
-    ``Fraction`` when it leaves a remainder (``int / int`` would be a float).
+    Takes ints and returns the new entry (c y - d x) / e, exactly: an int
+    when e divides, a ``Fraction`` when it leaves a remainder (``int / int``
+    would be a float).
     """
     z = c * y - d * x
     if e == 1:
         return z
-    if type(z) is int:
-        quotient, remainder = divmod(z, e)
-        return Fraction(z, e) if remainder else quotient
-    return z / e
+    quotient, remainder = divmod(z, e)
+    return Fraction(z, e) if remainder else quotient
 
 
 def _walk(x, y, d: Sequence, q: Sequence, k: int, steps: int) -> list:
     """The list c(i, k+1), ..., c(i, k+steps), by row steps from (x, y) = (c(i, k-1), c(i, k)).
 
     Step k applies mu(q[h], d[h+1], d[h]) for an index h = k - 1 that wraps at m.
-    The entries are those of ``_step`` one step at a time, types included.
+    The cycles and the window are ints.  The entries are those of ``_step``
+    one step at a time, types included, with ``Fraction`` arithmetic along
+    the row from the first remainder on.
 
-    The loop is chosen once per walk.  When every divisor is the int 1 no
-    step can divide, and the loop computes ``_step(x, y, c, 1, 1)`` inline
-    as c y - x, with no call per step: 1 x is x in value and type, so the
-    entries are ``_step``'s.  A ``Fraction(1)`` divisor makes d x a
-    ``Fraction``, so a cycle holding one takes the general loop.  That
-    loop collects ints until a step returns a ``Fraction``.
-    From there it carries the window as ints (x, y) over a running int
-    denominator D, their least common one.  The step is homogeneous of
-    degree 1 in its window, so ``_step`` on (x, y) returns D times the true
-    entry.  When that is a ``Fraction`` num/den, the window becomes
-    (y den, num) over D den, and dividing out gcd(x, y, D) makes D least
-    again.  On int cycles den > 1 there, so D stays above 1, though an
-    entry may come back to a whole number.  Every entry from the first
-    ``Fraction`` on is ``Fraction(y, D)``, whole ones included, as
-    ``Fraction`` arithmetic along the row would give it.
+    When every divisor is 1 no step can divide, and the loop computes
+    ``_step(x, y, c, 1, 1)`` inline as c y - x, with no call per step.
+    Otherwise the loop carries the window as ints (x, y) over a running
+    denominator D, their least common one, that starts at 1.  The step is
+    homogeneous of degree 1 in its window, so ``_step`` on (x, y) returns
+    D times the true entry.  When that is a ``Fraction`` num/den, the window
+    becomes (y den, num) over D den, and dividing out r = gcd(y den, num,
+    D den) makes D least again.  As num is prime to den, r divides
+    gcd(num, D), so the new D is at least den > 1, and D never returns to
+    1.  The loop appends y while D = 1, ints until the first remainder, and
+    ``Fraction(y, D)`` after it, whole entries included, as ``Fraction``
+    arithmetic along the row would give them.
     """
     m = len(d)
     h = (k - 1) % m
     out = []
-    if d.count(1) == m and type(sum(d)) is int:  # no Fraction(1): the sum is an int
+    if d.count(1) == m:
         for _ in range(steps):
             x, y = y, q[h] * y - x
             h = h + 1 if h + 1 < m else 0
             out.append(y)
         return out
-    for left in range(steps - 1, -1, -1):  # left: the steps after this one
-        g = h + 1 if h + 1 < m else 0
-        z = _step(x, y, q[h], d[g], d[h])
-        h = g
-        if type(z) is not int:
-            break
-        x, y = y, z
-        out.append(z)
-    else:
-        return out
-    big, ((x, y),) = _cleared(((y, z),))  # the window that left the ints
-    out.append(Fraction(y, big))
-    for _ in range(left):
+    big = 1
+    for _ in range(steps):
         g = h + 1 if h + 1 < m else 0
         z = _step(x, y, q[h], d[g], d[h])
         h = g
@@ -178,7 +163,7 @@ def _walk(x, y, d: Sequence, q: Sequence, k: int, steps: int) -> list:
             r = gcd(x, y, big)
             if r != 1:
                 x, y, big = x // r, y // r, big // r
-        out.append(Fraction(y, big))
+        out.append(y if big == 1 else Fraction(y, big))
     return out
 
 
