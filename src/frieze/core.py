@@ -12,9 +12,12 @@ edge and diagonal of an m-gon with vertices 1..m, kept in a symmetric
 table indexed by vertex.  ``normalize_index`` maps a grid index to its
 polygon pair; ``grid_from_polygon`` unfolds whole table rows at once.
 
-Both store their table cleared of denominators, (L, L * c) as ints, once
-(``_int_table``).  The homogeneous checks (local rule, tameness, glide,
-Ptolemy) run on these ints; the writers format each distinct int once.
+Each holds its table as ``Fraction``s (``_table``, from the validating
+constructor) or cleared of denominators, (L, L * c) as ints with L their
+lcm (``_ints``, from the builders), and makes the missing form on first
+read; ``_fractions`` makes one shared ``Fraction`` per distinct int.  The
+homogeneous checks (local rule, tameness, glide, Ptolemy) run on the ints;
+the writers format each distinct int once.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterator, Mapping
 
-from .scalars import as_scalar, scalar_from_str, scalar_to_str
+from .scalars import _ratio, as_scalar
 
 
 class _ZeroEntry:
@@ -82,7 +86,32 @@ class ValidationReport:
         return ValidationReport(self.violations + other.violations)
 
 
-class PatternGrid:
+class _Tables:
+    """Base of the two immutable table classes: an unset ``_table`` or ``_ints``
+    is made from the other on first read and stored (a race stores equal values)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _of(cls, m: int, **table):
+        """The object valid by construction of m and ``_table=`` or ``_ints=`` (L, rows)."""
+        obj = object.__new__(cls)
+        for name, value in {"m": m, **table}.items():
+            object.__setattr__(obj, name, value)
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __getattr__(self, name):  # called only for an unset slot or an unknown name
+        if name not in ("_table", "_ints"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = self._rows(_fractions(*self._ints)) if name == "_table" else _cleared(self._table)
+        object.__setattr__(self, name, value)
+        return value
+
+
+class PatternGrid(_Tables):
     """Raw frieze pattern: m rows of m+1 entries, row i covering c(i, i..i+m).
 
     Immutable after construction, hence safe to share between threads.
@@ -90,11 +119,12 @@ class PatternGrid:
     generated from an m-periodic boundary and quiddity.  Structural
     invariants (stored zeros at both ends of each row, nonzero boundary
     entries) are enforced here; mathematical validity is a separate concern
-    for the validators.  The cleared rows, given or stored on first use (a
-    race stores equal values), take no part in equality or hashing.
+    for the validators.  Only the ``Fraction`` rows, made on first read if a
+    builder handed over the cleared rows, take part in equality and hashing.
     """
 
-    __slots__ = ("_table", "_ints")
+    __slots__ = ("m", "_table", "_ints")
+    _rows = tuple
 
     def __init__(self, rows) -> None:
         table = tuple(tuple(as_scalar(x) for x in row) for row in rows)
@@ -108,31 +138,16 @@ class PatternGrid:
                 raise ValueError(f"row {i} must start and end with 0")
             if row[1] == 0:
                 raise ValueError(f"boundary entry c({i}, {i + 1}) is zero")
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_ints", None)
-
-    @classmethod
-    def _of(cls, rows: tuple, ints) -> PatternGrid:
-        """The grid of row tuples valid by construction, with their cleared form or None."""
-        grid = object.__new__(cls)
-        object.__setattr__(grid, "_table", rows)
-        object.__setattr__(grid, "_ints", ints)
-        return grid
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PatternGrid is immutable")
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor
         return PatternGrid, (self._table,)
 
     @property
-    def m(self) -> int:
-        return len(self._table)
-
-    @property
     def n(self) -> int:
         """Height of the pattern (m - 3)."""
-        return len(self._table) - 3
+        return self.m - 3
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -181,28 +196,29 @@ def _cleared(rows) -> tuple[int, list[list[int]]]:
     return big, [[n * (big // e) for n, e in row] for row in ratios]
 
 
-def _int_table(obj: PatternGrid | FriezeMap) -> tuple[int, list[list[int]]]:
-    """L and the table of a grid or map times L as ints: cleared once, then stored."""
-    ints = obj._ints
-    if ints is None:
-        ints = _cleared(obj._table)
-        object.__setattr__(obj, "_ints", ints)
-    return ints
+def _fractions(big: int, rows) -> Iterator[tuple[Fraction, ...]]:
+    """The rows of x / L for a cleared table (L, rows), one shared ``Fraction`` per distinct x."""
+    values = set().union(*rows)
+    scalars = ({x: Fraction(x) for x in values} if big == 1  # Fraction(x) takes no gcd
+               else {x: Fraction(x, big) for x in values})
+    return (itemgetter(*row)(scalars) for row in rows)
 
 
 def _extended_rows(grid: PatternGrid) -> tuple[int, list[list[int]]]:
     """L and, per row i, L * c(i, i-1), ..., L * c(i, i+m+1) as ints."""
-    big, table = _int_table(grid)
+    big, table = grid._ints
     return big, [[-table[i - 1][1], *row, -row[1]] for i, row in enumerate(table)]
+
+
+def _text(x: int, den: int) -> str:
+    """``scalar_to_str(Fraction(x, den))`` for an int x and an int den > 0."""
+    g = gcd(x, den)  # x / den in lowest terms is (x / g) / (den / g)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
 def _texts(big: int, table) -> dict[int, str]:
     """``scalar_to_str(x / L)`` for each distinct int x of a cleared table, made once."""
-    texts = dict.fromkeys(x for row in table for x in row)
-    for x in texts:
-        g = gcd(x, big)  # x / L in lowest terms is (x / g) / (L / g)
-        texts[x] = str(x // g) if g == big else f"{x // g}/{big // g}"
-    return texts
+    return {x: _text(x, big) for x in set().union(*table)}
 
 
 def validate_local(grid: PatternGrid) -> ValidationReport:
@@ -227,10 +243,9 @@ def validate_local(grid: PatternGrid) -> ValidationReport:
                 zip(a[1:], b[1:], a[2:], b, d[i:i + m + 1]), i):
             lhs, rhs = aj * bj1 - aj1 * bj, edge * dj
             if lhs != rhs:
-                lhs, rhs = Fraction(lhs, big * big), Fraction(rhs, big * big)
                 bad.append(Violation(
                     "local", (i, j),
-                    f"determinant {scalar_to_str(lhs)} != {scalar_to_str(rhs)}"))
+                    f"determinant {_text(lhs, big * big)} != {_text(rhs, big * big)}"))
     return ValidationReport(tuple(bad))
 
 
@@ -253,31 +268,32 @@ def validate_tame(grid: PatternGrid) -> ValidationReport:
             if det:
                 bad.append(Violation(
                     "tame", (i, j),
-                    f"3x3 determinant {scalar_to_str(Fraction(det, big ** 3))} != 0"))
+                    f"3x3 determinant {_text(det, big ** 3)} != 0"))
     return ValidationReport(tuple(bad))
 
 
 def check_glide(grid: PatternGrid) -> bool:
     """True iff c(i, j) = c(j, i + m) for every stored entry."""
-    (_, rows), m = _int_table(grid), grid.m
+    (_, rows), m = grid._ints, grid.m
     # c(i, i+o) is rows[i][o] and its mirror c(i+o, i+m) is rows[(i+o) % m][m-o]:
     # offsets o and m-o trade places, and 0 and m hold the stored zeros.
     return all(row[o] == rows[(i + o) % m][m - o]
                for i, row in enumerate(rows) for o in range(1, m // 2 + 1))
 
 
-class FriezeMap:
+class FriezeMap(_Tables):
     """A frieze with coefficients: values on all edges and diagonals of an m-gon.
 
     The values sit in one symmetric (m+1) x (m+1) table indexed by vertex:
     c(p, q) = c(q, p) for vertices 1..m, zero on the diagonal, and a zero
     row and column 0 that no vertex reads.  The map is immutable, hence
-    safe to share between threads.  The cleared table, given or stored on
-    first use (a race stores equal values), takes no part in equality or
-    hashing.
+    safe to share between threads.  Only the ``Fraction`` table, made on
+    first read if a builder handed over the cleared table, takes part in
+    equality and hashing.
     """
 
     __slots__ = ("m", "_table", "_ints")
+    _rows = list
 
     def __init__(self, m: int, entries: Mapping[tuple[int, int], object]) -> None:
         if m < 3:
@@ -298,20 +314,7 @@ class FriezeMap:
             if table[p][p % m + 1] == 0:
                 raise ValueError(f"boundary entry at edge ({p}, {p % m + 1}) is zero")
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_ints", None)
-
-    @classmethod
-    def _of(cls, m: int, table: list, ints) -> FriezeMap:
-        """The map of a symmetric vertex table valid by construction, with its cleared form."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "m", m)
-        object.__setattr__(f, "_table", table)
-        object.__setattr__(f, "_ints", ints)
-        return f
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("FriezeMap is immutable")
+        object.__setattr__(self, "_table", list(map(tuple, table)))
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor
         return FriezeMap, (self.m, dict(self.pairs()))
@@ -377,7 +380,7 @@ def _fold(rows, z=1) -> FriezeMap:
     p of the map is row p mod m turned by the glide, c(p, q) = c(q - m, p)
     for q > m, into c(p, 1), ..., c(p, m).  The caller vouches for the glide
     symmetry that makes the turned rows agree with each other.  The turned
-    rows, rescaled if need be, are the map's cleared table (L, L * c).
+    rows, rescaled if need be, are all the map is given: its (L, L * c).
     """
     m = len(rows)
     turned = [[0] * (m + 1)]
@@ -385,15 +388,10 @@ def _fold(rows, z=1) -> FriezeMap:
         row = rows[p % m]
         turned.append([0, *row[m - p + 1:m], *row[:m - p + 1]])
     num, den = z.as_integer_ratio()
-    values = dict.fromkeys(x for row in turned for x in row)
-    g, factor = gcd(num, *values), den if num > 0 else -den
+    g, factor = gcd(num, *set().union(*turned)), den if num > 0 else -den
     if g != 1 or factor != 1:  # L c = x / z * L = x / g * factor, with L = |num| / g
         turned = [[x // g * factor for x in row] for row in turned]
-        values = dict.fromkeys(x // g * factor for x in values)
-    big = abs(num) // g
-    for x in values:  # one Fraction per distinct L c
-        values[x] = Fraction(x, big)
-    return FriezeMap._of(m, [list(map(values.__getitem__, row)) for row in turned], (big, turned))
+    return FriezeMap._of(m, _ints=(abs(num) // g, turned))
 
 
 def to_polygon(grid: PatternGrid) -> FriezeMap:
@@ -404,7 +402,7 @@ def to_polygon(grid: PatternGrid) -> FriezeMap:
     """
     if not check_glide(grid):
         raise ValueError("grid is not glide-symmetric; cannot fold onto a polygon")
-    big, rows = _int_table(grid)
+    big, rows = grid._ints
     return _fold(rows, big)
 
 
@@ -414,13 +412,12 @@ def grid_from_polygon(f: FriezeMap) -> PatternGrid:
     Row i holds c(v, v), ..., c(v, v+m) for the vertex v = i, or v = m
     for i = 0 (one period on).  Up to column m that is table row v from
     c(v, v); past it the glide c(v, j) = c(j - m, v) wraps the row around
-    to c(v, 1), ..., c(v, v).  The map's int table is sliced the same way,
-    so the grid starts out cleared.
+    to c(v, 1), ..., c(v, v).  The slices are taken from the map's int
+    table, and the grid is handed those alone.
     """
-    m, table, (big, ints) = f.m, f._table, _int_table(f)
-    order = (m, *range(1, m))
-    return PatternGrid._of(tuple((*table[v][v:], *table[v][1:v + 1]) for v in order),
-                           (big, [ints[v][v:] + ints[v][1:v + 1] for v in order]))
+    m, (big, ints) = f.m, f._ints
+    return PatternGrid._of(m, _ints=(big, [ints[v][v:] + ints[v][1:v + 1]
+                                           for v in (m, *range(1, m))]))
 
 
 def scale(f: FriezeMap, z) -> FriezeMap:
@@ -436,7 +433,7 @@ def scale(f: FriezeMap, z) -> FriezeMap:
 
 def frieze_to_json(f: FriezeMap) -> dict:
     """``{"m": 6, "entries": {"1,3": "4", ...}}`` with every pair present."""
-    (big, ints), m = _int_table(f), f.m
+    (big, ints), m = f._ints, f.m
     texts = _texts(big, ints)
     return {
         "m": m,
@@ -452,9 +449,9 @@ def frieze_from_json(obj) -> FriezeMap:
     ``"1,3"``), malformed scalars, and zero boundary entries, with the
     messages and in the order of the ``FriezeMap`` constructor: every key
     and scalar is read first, then m, the vertex pairs, their count and the
-    boundary are checked.  When there are as many keys as pairs, the values
-    go straight into the map's vertex table, one ``Fraction`` per distinct
-    scalar text.
+    boundary are checked.  Each distinct text is parsed once, first, to
+    (n, e) in lowest terms, and the map is handed its vertex table of
+    L * c, L the lcm of the denominators, with no ``Fraction``.
     """
     if not isinstance(obj, dict) or "m" not in obj or "entries" not in obj:
         raise ValueError("frieze JSON needs 'm' and 'entries'")
@@ -469,23 +466,29 @@ def frieze_from_json(obj) -> FriezeMap:
     table = [[None] * (m + 1) for _ in range(m + 1)] if full else None
     others: set[tuple[int, int]] = set()  # the pairs read that have no table cell
     outside = None  # the first pair read that is not a vertex pair
-    values: dict[str, Fraction] = {}  # one Fraction per distinct scalar text
-    for key, text in raw.items():
-        parts = key.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad pair key {key!r}")
+    ratios = {}  # each distinct scalar text that parses, as (n, e) in lowest terms
+    for text in {text for text in raw.values() if isinstance(text, str)}:
         try:
-            p, q = int(parts[0]), int(parts[1])
+            ratios[text] = _ratio(text)
+        except ValueError:  # the loop reports it in its turn
+            pass
+    big = lcm(*{e for _, e in ratios.values()})
+    values = {text: n * (big // e) for text, (n, e) in ratios.items()}  # L c for each text
+    for key, text in raw.items():
+        first, _, second = key.partition(",")  # a second comma is left to int() to refuse
+        try:
+            p, q = int(first), int(second)
         except ValueError:
             raise ValueError(f"bad pair key {key!r}") from None
         cell = full and 1 <= p < q <= m
         if (table[p][q] is not None) if cell else (p, q) in others:
             raise ValueError(f"pair ({p}, {q}) given twice, the second time as {key!r}")
-        if not isinstance(text, str):
-            raise ValueError(f"entry for {key!r} must be a string scalar")
-        value = values.get(text)
-        if value is None:
-            value = values[text] = scalar_from_str(text)
+        try:
+            value = values[text]
+        except (KeyError, TypeError):  # every text that parses has a value: say what is wrong
+            if not isinstance(text, str):
+                raise ValueError(f"entry for {key!r} must be a string scalar") from None
+            _ratio(text)  # raises
         if cell:
             table[p][q] = table[q][p] = value
         else:
@@ -498,11 +501,10 @@ def frieze_from_json(obj) -> FriezeMap:
         raise ValueError(f"bad vertex pair {outside} for m={m}")
     if not full:
         raise ValueError(f"need all {expected} vertex pairs, got {len(raw)}")
-    zero = Fraction(0)
-    table[0] = [zero] * (m + 1)
+    table[0] = [0] * (m + 1)
     for p in range(1, m + 1):
         row = table[p]
-        row[0] = row[p] = zero
+        row[0] = row[p] = 0
         if row[p % m + 1] == 0:
             raise ValueError(f"boundary entry at edge ({p}, {p % m + 1}) is zero")
-    return FriezeMap._of(m, table, None)
+    return FriezeMap._of(m, _ints=(big, table))

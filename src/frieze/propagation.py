@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .core import PatternGrid
+from .core import PatternGrid, _fractions
 from .scalars import as_scalar
 
 
@@ -201,18 +201,17 @@ def build_pattern(boundary: Sequence, quiddity: Sequence) -> PatternGrid:
     by boundary entries.  The rows are walked on the cleared cycles of
     ``_cycles`` from the seed -L d_{i-1}; the step is homogeneous of
     degree 1 in its window, so the entries come out as L c(i, j): ints, or
-    ``Fraction``s on a row that left a remainder.  Each distinct one is
-    divided back by L once.  When all are ints, they are the grid's
-    cleared rows.
+    ``Fraction``s on a row that left a remainder.  Ints are all the grid is
+    given (every cycle value is an entry, so L is their lcm denominator);
+    otherwise each distinct entry is divided back by L once.
     """
     big, d, q = _cycles(boundary, quiddity)
     m = len(d)
     walked = [[0, *_walk(-d[i - 1], 0, d, q, i, m - 1), 0] for i in range(m)]
-    values = dict.fromkeys(x for row in walked for x in row)
-    for x in values:  # one Fraction per distinct L c(i, j)
-        values[x] = Fraction(x, big)
-    return PatternGrid._of(tuple(tuple(map(values.__getitem__, row)) for row in walked),
-                           (big, walked) if all(type(x) is int for x in values) else None)
+    # a walk that left a remainder ends on a Fraction: its denominator never returns to 1
+    if all(type(row[-2]) is int for row in walked):
+        return PatternGrid._of(m, _ints=(big, walked))
+    return PatternGrid._of(m, _table=tuple(_fractions(big, walked)))
 
 
 def closure_product(boundary: Sequence, quiddity: Sequence) -> Mat2:

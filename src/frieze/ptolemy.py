@@ -36,12 +36,10 @@ quadruples, in lexicographic order, with the same details.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .core import FriezeMap, ValidationReport, Violation, _int_table
-from .scalars import scalar_to_str
+from .core import FriezeMap, ValidationReport, Violation, _text
 
 
 def ptolemy_holds(f: FriezeMap, i: int, j: int, k: int, l: int) -> bool:
@@ -99,15 +97,12 @@ def verify_all_ptolemy(f: FriezeMap) -> ValidationReport:
     docstring).  The report lists all failures in lexicographic order,
     which keeps mutation-style tests deterministic.
     """
-    m = f.m
-    big, c = _int_table(f)
+    (big, c), m = f._ints, f.m
     bad = []
     for i, j, k, l in _suspect_quadruples(c, m):
         ci, cj, ck = c[i], c[j], c[k]
         lhs, rhs = ci[k] * cj[l], ci[l] * cj[k] + ci[j] * ck[l]
         if lhs != rhs:
-            lhs, rhs = Fraction(lhs, big * big), Fraction(rhs, big * big)
             bad.append(Violation(
-                "ptolemy", (i, j, k, l),
-                f"{scalar_to_str(lhs)} != {scalar_to_str(rhs)}"))
+                "ptolemy", (i, j, k, l), f"{_text(lhs, big * big)} != {_text(rhs, big * big)}"))
     return ValidationReport(tuple(bad))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .core import FriezeMap, _int_table, _texts, grid_from_polygon
+from .core import FriezeMap, _texts, grid_from_polygon
 from .scalars import scalar_to_str
 from .triangulation import Triangulation, frieze_from_triangulation
 
@@ -22,7 +22,7 @@ def render_ascii(f: FriezeMap) -> str:
     shifted one column right of the row above; the infinite repetition is
     left to the imagination.
     """
-    big, ints = _int_table(grid_from_polygon(f))
+    big, ints = grid_from_polygon(f)._ints
     texts = _texts(big, ints)
     width = max(map(len, texts.values()))
     cells = {x: text.rjust(width) for x, text in texts.items()}

@@ -38,18 +38,26 @@ def as_scalar(value: int | str | Fraction) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+def _ratio(text: str) -> tuple[int, int]:
+    """Parse ``"p"`` or ``"p/q"`` into (n, e) in lowest terms with e > 0, rejecting q = 0."""
+    numerator, slash, denominator = text.partition("/")
+    digits = numerator[1:] if numerator[:1] in ("+", "-") else numerator
+    if not digits.isdecimal() or slash and not denominator.isdecimal():  # \d is isdecimal
+        match = _SCALAR_RE.fullmatch(text.strip())  # the pattern decides the rest
+        if match is None:
+            raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
+        numerator, denominator = match.groups()
+    e = int(denominator or 1)
+    if e == 0:
+        raise ValueError(f"malformed rational {text!r}: zero denominator")
+    n = int(numerator)
+    g = gcd(n, e)
+    return n // g, e // g
+
+
 def scalar_from_str(text: str) -> Fraction:
     """Parse ``"p"`` or ``"p/q"`` into a rational, rejecting q = 0."""
-    if text.isdecimal():  # exactly the strings the pattern reads as an unsigned "p"
-        return Fraction(int(text))
-    match = _SCALAR_RE.fullmatch(text.strip())
-    if match is None:
-        raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
-    numerator, denominator = match.groups()
-    denominator = 1 if denominator is None else int(denominator)
-    if denominator == 0:
-        raise ValueError(f"malformed rational {text!r}: zero denominator")
-    return Fraction(int(numerator), denominator)
+    return Fraction(*_ratio(text))
 
 
 def scalar_to_str(value: int | str | Fraction) -> str:

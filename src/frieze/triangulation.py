@@ -14,7 +14,6 @@ three-way gluing welds marked edges onto a central unit triangle.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -176,27 +175,24 @@ def frieze_from_triangulation(t: Triangulation) -> FriezeMap:
     Asserts the characteristic facts along the way: the labelling is
     symmetric (the walked rows against the stepped ones), every edge carries
     1, and the non-edge pairs carrying 1 are exactly the diagonals of the
-    triangulation.  The checked table is the map's, one shared ``Fraction``
-    per distinct label; the map clears it to ints on first use, which keeps
-    peak memory down.
+    triangulation.  The checked int table, with its zero row and column 0,
+    is the map's cleared table (1, c): the map makes its ``Fraction``s,
+    one shared per distinct label, only when they are read.
     """
     m = t.m
-    table = [cc_labels_from(t, m)[1:], cc_labels_from(t, 1)[1:]]  # rows m, 1, 2, ...
+    rows = [[0, *cc_labels_from(t, m)[1:]], [0, *cc_labels_from(t, 1)[1:]]]  # rows m, 1, 2, ...
     for v, qv in enumerate(t._quiddity[:m - 2], 1):  # row v+1 = q(v) row v - row v-1
-        table.append([qv * y - x for x, y in zip(table[-2], table[-1])])
-        table[-1][v - 1] = 1  # c(v+1, v): the edge
-    table.append(table.pop(0))  # table[p-1][q-1] = c(p, q)
+        rows.append([qv * y - x for x, y in zip(rows[-2], rows[-1])])
+        rows[-1][v] = 1  # c(v+1, v): the edge
+    table = [[0] * (m + 1), *rows[1:], rows[0]]  # table[p][q] = c(p, q)
     assert table == list(map(list, zip(*table))), "labelling must be symmetric"
-    assert all(table[p - 1][p % m] == 1 for p in range(1, m + 1)), "edges must carry 1"
+    assert all(table[p][p % m + 1] == 1 for p in range(1, m + 1)), "edges must carry 1"
     # the edges and diagonals carry 1, so by symmetry they are all the unit
     # pairs exactly when the table holds 1 twice for each of them
-    assert (all(table[p - 1][q - 1] == 1 for p, q in t.diagonals)
+    assert (all(table[p][q] == 1 for p, q in t.diagonals)
             and sum(row.count(1) for row in table) == 2 * (2 * m - 3)), \
         "unit non-edges must be the diagonals"
-    scalars = {value: Fraction(value) for value in set().union(*table)}
-    zero = scalars[0]
-    return FriezeMap._of(m, [[zero] * (m + 1),
-                             *([zero, *itemgetter(*row)(scalars)] for row in table)], None)
+    return FriezeMap._of(m, _ints=(1, table))
 
 
 def cut_subpolygon(f: FriezeMap, verts: Sequence[int]) -> FriezeMap:

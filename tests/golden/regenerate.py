@@ -22,6 +22,7 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -41,6 +42,27 @@ def fan(m: int) -> dict:
     """The triangulation of the m-gon by the diagonals at vertex 1."""
     return {"m": m, "diagonals": [[1, q] for q in range(3, m)]}
 
+
+def gauged_fan(m: int, weights: list[Fraction], wrong: dict | None = None) -> dict:
+    """The fan's classic frieze rescaled to c(p, q) w_p w_q, with entries replaced by ``wrong``.
+
+    Row p is walked by c(p, w+1) = q(w) c(p, w) - c(p, w-1) on the fan's
+    quiddity (m - 2, 1, 2, ..., 2, 1); ``weights[p]`` is w_p.
+    """
+    quiddity = [m - 2, 1, *[2] * (m - 3), 1]
+    entries = {}
+    for p in range(1, m):
+        x, y = -1, 0  # c(p, p-1), c(p, p)
+        for w in range(p, m):
+            x, y = y, quiddity[w - 1] * y - x
+            entries[f"{p},{w + 1}"] = str(y * weights[p] * weights[w + 1])
+    return {"m": m, "entries": {**entries, **(wrong or {})}}
+
+
+W6 = [None, *map(Fraction, ("1/2", "3", "2/3", "5/4", "1", "7/3"))]
+W7 = [None, *map(Fraction, ("3/2", "1", "2/5", "4", "1/3", "3/7", "2"))]
+W8 = [None, *map(Fraction, ("1", "5/3", "1/2", "2", "3/4", "1", "6", "2/9"))]
+ALL_ONES_6 = {"m": 6, "entries": {f"{p},{q}": "1" for p in range(1, 7) for q in range(p + 1, 7)}}
 
 # the triangulation printed by ``frieze accordion 21 13``
 ACCORDION_21_13 = {"m": 9, "diagonals": [[2, 8], [2, 9], [3, 7], [3, 8], [4, 6], [4, 7]]}
@@ -93,6 +115,16 @@ CASES = [
     # the SVG size cap: the largest polygon drawn and the smallest refused
     (["render", "-", "--format", "svg"], fan(64)),
     (["render", "-", "--format", "svg"], fan(65)),
+    # rational maps: one wrong entry each, an all-ones map, cut, render and build
+    (["validate", "-"], gauged_fan(6, W6)),
+    (["validate", "-"], gauged_fan(6, W6, {"2,5": "7/2"})),
+    (["validate", "-"], gauged_fan(7, W7, {"1,4": "-3/5"})),
+    (["validate", "-"], gauged_fan(8, W8, {"3,8": "1"})),
+    (["validate", "-"], ALL_ONES_6),
+    (["cut", "-", "--verts", "1,3,4,6"], gauged_fan(7, W7)),
+    (["render", "-", "--format", "ascii"], gauged_fan(6, W6)),
+    (["build", "--boundary", "3/2,7/2,5/2,3/2", "--quiddity", "2,9/2,2,9/2"], None),
+    (["build", "--boundary", "1,2,3", "--quiddity", "1/2,1/3,1/5"], None),
 ]
 
 

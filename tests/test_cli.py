@@ -69,9 +69,10 @@ def test_build_checks_the_glide_once(monkeypatch, capsys):
     assert json.loads(err) == {"error": "validation", "message": "pattern is not glide-symmetric"}
 
 
-def test_validate_clears_each_table_once(tmp_path, monkeypatch, capsys):
-    """``validate`` clears the loaded map once; the grid unfolded from it, the
-    Ptolemy check and the writers all read that one int table."""
+def test_validate_never_clears_a_table(tmp_path, monkeypatch, capsys):
+    """``validate`` reads the loaded map's int table: the grid unfolded from
+    it, the Ptolemy check and the writers never clear a ``Fraction`` table.
+    A map from the validating constructor is cleared once, on first use."""
     hexagon = frieze_to_json(frieze_from_triangulation(Triangulation(**HEX_TRI)))
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(json.dumps(hexagon))
@@ -85,18 +86,21 @@ def test_validate_clears_each_table_once(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(frieze.core, "_cleared", counted)
     for path, code in ((good, 0), (bad, 1)):
-        tables.clear()
         assert run(capsys, "validate", str(path))[0] == code
-        assert len(tables) == 1
-    tables.clear()
-    f = frieze_from_json(hexagon)
-    grid = grid_from_polygon(f)
-    assert validate_local(grid).ok and validate_tame(grid).ok and check_glide(grid)
-    assert verify_all_ptolemy(f).ok and frieze_to_json(f) == hexagon
-    assert render_ascii(f) == oracle.render_ascii(f)
-    assert len(tables) == 1
+    assert tables == []
+
+    def read_all(f):
+        grid = grid_from_polygon(f)
+        assert validate_local(grid).ok and validate_tame(grid).ok and check_glide(grid)
+        assert verify_all_ptolemy(f).ok and frieze_to_json(f) == hexagon
+        assert render_ascii(f) == oracle.render_ascii(f)
+
+    read_all(frieze_from_json(hexagon))
     built = build_pattern([3, 7, 5, 3], [4, 9, 4, 9])  # int rows walked on int cycles
     assert validate_local(built).ok and validate_tame(built).ok and check_glide(built)
+    assert tables == []
+    read_all(FriezeMap(6, {tuple(map(int, key.split(","))): text
+                           for key, text in hexagon["entries"].items()}))
     assert len(tables) == 1
 
 

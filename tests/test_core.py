@@ -428,6 +428,7 @@ LOADER_FAULTS = [
     ("repeated spaced pair", lambda m, e: {" 1,3": "9"}),
     ("non-string value", lambda m, e: {"1,3": 9}),
     ("null value", lambda m, e: {"1,3": None}),
+    ("list value", lambda m, e: {"1,3": ["9"]}),
     ("malformed scalar", lambda m, e: {"1,3": "4/0"}),
     ("empty scalar", lambda m, e: {"1,3": ""}),
     ("pair below range", lambda m, e: {"0,1": "1"}),

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import enumeration_oracle as oracle
-from frieze import (DomainSpec, EnumerationBudgetExceeded, Mat2, build_pattern,
+from frieze import (DomainSpec, EnumerationBudgetExceeded, FriezeMap, Mat2, build_pattern,
                     closure_product, enumerate_friezes, enumerate_triangulations,
                     frieze_from_triangulation, grid_from_polygon, parse_domain,
                     quiddity_bound, scale, validate_local, validate_tame,
                     verify_all_ptolemy)
-from frieze.core import _cleared
 from frieze.enumeration import MAX_NODES, enumeration_summary
+from table_checks import assert_table_made_on_read
 
 NAT = DomainSpec.positive_integers()
 #: lattices with positive and negative factors, and sets with 0, a
@@ -203,10 +203,13 @@ def test_negative_scale_sorts_like_the_oracle(spec, boundary):
     ("nat", "3,7,5,3"), ("nonzero-int", "1,1,-1,-1,1"), ("scaled:1/2", "1/2,1/2,1,1"),
     ("scaled:-2/3", "-2/3,-2/3,-2/3,-2/3,-2/3"), ("scaled-nat:2", "2,2,2,2"), ("nat", "2,3,5")])
 def test_results_carry_their_cleared_table(spec, boundary):
-    found = enumerate_friezes([Fraction(x) for x in boundary.split(",")], parse_domain(spec))
-    assert found
-    for f in found:
-        assert f._ints == _cleared(f._table)
+    """Each result is handed its cleared table alone; its first read makes the
+    table of the oracle's map, as the validating constructor builds it."""
+    d, domain = [Fraction(x) for x in boundary.split(",")], parse_domain(spec)
+    found, expected = enumerate_friezes(d, domain), oracle.enumerate_friezes(d, domain)
+    assert found and len(found) == len(expected)
+    for f, g in zip(found, expected):
+        assert_table_made_on_read(f, FriezeMap(g.m, dict(g.pairs()))._table)
 
 
 @pytest.mark.parametrize("boundary, count", [((6, 1, 8, 6, 3), 31), ((2, 3, 5, 7, 11), 16)])

@@ -4,10 +4,15 @@ Each test asserts that ``validate_local``, ``validate_tame`` and
 ``verify_all_ptolemy`` return the very report of the oracle in
 ``validator_oracles``: the same rules, positions, details and order.
 The checks and writers that share a grid's or map's stored int table are
-also run in shuffled orders, each twice, against the same oracles.
+also run in shuffled orders, each twice, against the same oracles.  Each
+builder that hands over an int table alone, and each validating
+constructor, is checked against a ``Fraction`` table made at once.
 """
 
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cache
 
@@ -15,11 +20,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import validator_oracles as oracle
-from frieze import (DomainSpec, FriezeMap, PatternGrid, build_pattern, check_glide,
-                    enumerate_friezes, frieze_from_json, frieze_from_triangulation,
-                    frieze_to_json, grid_from_polygon, render_ascii, validate_local,
-                    validate_tame, verify_all_ptolemy)
+from frieze import (DomainSpec, FriezeMap, PatternGrid, Triangulation, build_pattern,
+                    check_glide, enumerate_friezes, frieze_from_json,
+                    frieze_from_triangulation, frieze_to_json, grid_from_polygon,
+                    render_ascii, scalar_to_str, to_polygon, validate_local, validate_tame,
+                    verify_all_ptolemy)
+from frieze.core import _text
 from frieze.triangulation import enumerate_triangulations
+from table_checks import (assert_ints_made_on_read, assert_table_made_on_read,
+                          assert_tables, fraction_rows, slot_is_set)
+from triangulation_oracles import walk_table_frieze
 
 sizes = st.integers(3, 10)
 rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
@@ -219,3 +229,102 @@ def test_writers_match_the_scalar_to_str_path(doc):
     assert json.dumps(frieze_to_json(f)) == json.dumps(oracle.frieze_to_json(f))
     assert render_ascii(f) == oracle.render_ascii(f)
     assert frieze_from_json(frieze_to_json(f)) == f
+
+
+@given(st.integers(), st.integers(min_value=1))
+def test_violation_text_matches_scalar_to_str(x, den):
+    assert _text(x, den) == scalar_to_str(Fraction(x, den))
+
+
+# -- the two forms of a table: made on first read --------------------------------
+
+
+@st.composite
+def triangulations(draw):
+    """A triangulation of the m-gon, m = 3..40, by clipping random ears."""
+    m = draw(st.integers(3, 40))
+    ring, diagonals = list(range(1, m + 1)), []
+    while len(ring) > 3:
+        i = draw(st.integers(0, len(ring) - 1))
+        diagonals.append((ring[i - 1], ring[(i + 1) % len(ring)]))
+        del ring[i]
+    return Triangulation(m, diagonals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangulations())
+def test_classic_friezes_make_their_table_on_read(t):
+    assert_table_made_on_read(frieze_from_triangulation(t), walk_table_frieze(t)._table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps | negative_friezes)
+def test_unfolded_grids_make_their_table_on_read(f):
+    assert_table_made_on_read(grid_from_polygon(f), oracle.unfolded_rows(f))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gauged() | integer_friezes)
+def test_built_and_folded_tables_match_the_fraction_walk(f):
+    """A built grid holds its int rows alone, or on a row with a remainder its
+    ``Fraction`` rows alone; either way the fold back is handed ints."""
+    d, q = f.boundary_sequence, f.quiddity_cycle
+    grid = build_pattern(d, q)
+    if slot_is_set(grid, "_table"):
+        assert not slot_is_set(grid, "_ints")
+        assert any(x.denominator > 1 for row in grid._table for x in row)
+        assert_tables(grid, fraction_rows(d, q))
+    else:
+        assert_table_made_on_read(grid, fraction_rows(d, q))
+    assert_table_made_on_read(to_polygon(build_pattern(d, q)), f._table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 9).flatmap(lambda m: st.tuples(
+    st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m),
+    st.lists(st.integers(-4, 4), min_size=m, max_size=m))))
+def test_unit_boundary_grids_make_their_table_on_read(problem):
+    boundary, quiddity = problem
+    assert_table_made_on_read(build_pattern(boundary, quiddity), fraction_rows(boundary, quiddity))
+
+
+@settings(max_examples=100, deadline=None)
+@given(scalar_documents())
+def test_loaded_maps_make_their_table_on_read(doc):
+    eager = FriezeMap(doc["m"], {tuple(map(int, key.split(","))): Fraction(text)
+                                 for key, text in doc["entries"].items()})
+    assert_table_made_on_read(frieze_from_json(doc), eager._table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(gauged() | corrupted() | symmetric_tables())
+def test_validating_constructors_clear_on_read(f):
+    assert_ints_made_on_read(f, lambda ints: FriezeMap._of(f.m, _ints=ints))
+    rows = grid_from_polygon(f).rows
+    assert_ints_made_on_read(PatternGrid(rows), lambda ints: PatternGrid._of(f.m, _ints=ints))
+
+
+def test_threads_read_one_fresh_map_at_once():
+    """Eight threads read ``pairs()`` of one map that holds its ints alone and
+    all get a lone reader's answer."""
+    m = 24
+    fan = Triangulation(m, [(1, k) for k in range(3, m)])
+    doc = frieze_to_json(FriezeMap(m, {(p, q): Fraction(v, 1 + p % 3) * (1 + q % 3)
+                                      for (p, q), v in frieze_from_triangulation(fan).pairs()}))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            makers = [lambda: frieze_from_triangulation(fan), lambda: frieze_from_json(doc)]
+            for fresh in makers * 10:
+                expected = list(fresh().pairs())
+                f, barrier = fresh(), threading.Barrier(8, timeout=30)
+
+                def read():
+                    barrier.wait()
+                    return list(f.pairs())
+
+                futures = [pool.submit(read) for _ in range(8)]
+                assert [future.result(timeout=60) for future in futures] == [expected] * 8
+    finally:
+        sys.setswitchinterval(switch)

@@ -2,7 +2,8 @@
 
 ``walk_table_frieze`` builds the classic frieze of a triangulation by
 walking the row of every vertex with ``cc_labels_from``, the oracle for
-``frieze_from_triangulation``, which walks two rows and steps the others.
+``frieze_from_triangulation``, which walks two rows and steps the others;
+the oracle makes its ``Fraction`` table at once, one per distinct label.
 ``separating_by_segments`` scans the three arcs with ``is_segment`` for
 every candidate triple, the oracle for ``separating_unit_triangle``,
 which reads neighbour sets.  ``REALIZE_LADDER`` is the accordion ladder of
@@ -31,8 +32,11 @@ def walk_table_frieze(t) -> FriezeMap:
         "unit non-edges must be the diagonals"
     scalars = {value: Fraction(value) for value in set().union(*table)}
     zero = scalars[0]
-    return FriezeMap._of(m, [[zero] * (m + 1),
-                             *([zero, *itemgetter(*row)(scalars)] for row in table)], None)
+    f = object.__new__(FriezeMap)  # the Fraction table made at once, not on first read
+    object.__setattr__(f, "m", m)
+    object.__setattr__(f, "_table", [(zero,) * (m + 1),
+                                     *((zero, *itemgetter(*row)(scalars)) for row in table)])
+    return f
 
 
 def separating_by_segments(t, i, j, k):
