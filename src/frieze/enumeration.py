@@ -12,13 +12,16 @@ The search runs on plain ints.  The local rule is homogeneous, so scaling
 the boundary and the domain by z scales the friezes by z: a lattice
 {k f} becomes the positive or the nonzero integers under z = 1/f, and a
 finite set becomes a set of ints under the lcm of its denominators.  The
-scaled boundary has P >= 1, so B is taken for the scaled problem.  Every
-row step divides exactly or its branch is pruned.  A leaf stays an int
-table.  The leaves are sorted on those ints, negated when z < 0 since
-dividing by a negative z reverses the order, and only then folded into
-their polygon maps.
+scaled boundary has P >= 1, so B is taken for the scaled problem.  The
+setup runs on ints too: a boundary entry n / e lies in the domain exactly
+when n z / e is an int member of the scaled domain, one ``divmod`` each,
+and the cap top = floor(B) = P^2 (PM + (n-1)P^2 + M) // M^2 takes the
+scaled minimal modulus M, an int.  Every row step divides exactly or its
+branch is pruned.  A leaf stays an int table.  The leaves are sorted on
+those ints, negated when z < 0 since dividing by a negative z reverses the
+order, and only then folded into their polygon maps.
 
-Four facts pin or thin the quiddity instead of trying every candidate:
+Five facts pin or thin the quiddity instead of trying every candidate:
 
 * Glide pins.  Every frieze has c(i, j) = c(j, i + m), so an entry whose
   mirror is already filled must equal it.  The closing zero
@@ -37,6 +40,18 @@ Four facts pin or thin the quiddity instead of trying every candidate:
   an int inside the candidate range.  N = 0 leaves no q.  The divisors
   come from trial division up to sqrt(|N|), and |N| is bounded by entries
   already built.
+* A window at level m - 5.  By the glide y = c(0, m-2) = c(m-2, m) is the
+  quiddity entry q[m-2], and N / y = q[m-3], so both have modulus at most
+  top and |N| <= top^2.  With a = c(0, m-3) that gives
+  |d[m-2] a| <= top^2 + |d[m-3] d[m-1]|, and a is an int, so
+  |a| <= K = floor((top^2 + |d[m-3] d[m-1]|) / |d[m-2]|).  At level m - 5
+  the value q = q[m-5] appends a = (q c(0, m-4) - d[m-4] c(0, m-5)) / d[m-5],
+  so every frieze has |q c(0, m-4) - d[m-4] c(0, m-5)| <= |d[m-5]| K.
+  Since c(0, m-4) != 0 that is one interval of q, which cuts the runs the
+  congruences below step through.  K depends on the boundary alone and is
+  taken once.  On ten unit entries over N the window takes the search from
+  280,264 nodes to 52,742: before it, over 99% of the values tried at
+  level m - 5 left no divisor at level m - 4.
 * Congruences below L.  At a level l < L every row i <= l gains
   c(i, l+2) = (q a_i - d[l+1] b_i) / d[l], with a_i = c(i, l+1) and
   b_i = c(i, l), and that entry must be an int:
@@ -73,7 +88,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import floor, gcd, lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import FriezeMap, _fold
@@ -121,16 +136,30 @@ class EnumerationBudgetExceeded(ValueError):
     """The search would try more quiddity values than its ``max_nodes`` budget."""
 
 
-def _integer_problem(domain: DomainSpec) -> tuple[Fraction, DomainSpec, Callable[[int], bool]]:
-    """The scale z that makes ``domain`` integral, z * domain, and a test for its nonzero ints."""
+def _integer_problem(domain: DomainSpec) -> tuple[Fraction, tuple[int, ...] | None,
+                                                   Callable[[int], bool]]:
+    """The scale z that makes ``domain`` integral, the nonzero ints of z * domain in
+    increasing order (None for a lattice, which scales to N or Z minus 0), and a test
+    for those ints."""
     if domain.values is None:
-        z = 1 / domain.factor
-    else:
-        z = Fraction(lcm(*(v.denominator for v in domain.values)))
-    scaled = domain.scaled(z)
-    if scaled.values is not None:
-        return z, scaled, frozenset(int(v) for v in scaled.values if v != 0).__contains__
-    return z, scaled, (lambda x: x != 0) if scaled.signed else (lambda x: x >= 1)
+        member = (lambda x: x != 0) if domain.signed else (lambda x: x >= 1)
+        return 1 / domain.factor, None, member
+    big = lcm(*(v.denominator for v in domain.values))
+    members = tuple(sorted(v.numerator * (big // v.denominator) for v in domain.values if v))
+    return Fraction(big), members, frozenset(members).__contains__
+
+
+def _cap(dz: Sequence[int], big_m: int) -> int:
+    """floor(B) for an int boundary and an int minimal modulus: ``quiddity_bound`` in ints."""
+    big_p, n = max(map(abs, dz)), len(dz) - 3
+    return big_p ** 2 * (big_p * big_m + (n - 1) * big_p ** 2 + big_m) // big_m ** 2
+
+
+def _window(a: int, t: int, width: int) -> tuple[int, int]:
+    """The least and the greatest int q with |q a - t| <= width, for a != 0."""
+    if a < 0:
+        a, t = -a, -t
+    return -((width - t) // a), (t + width) // a
 
 
 def _divisors(n: int) -> list[int]:
@@ -155,29 +184,34 @@ def enumerate_friezes(boundary: Sequence, domain: DomainSpec,
     search raises :class:`EnumerationBudgetExceeded` instead of trying more
     than that many quiddity values.
     """
-    d = tuple(as_scalar(x) for x in boundary)
+    d = [as_scalar(x) for x in boundary]
     if len(d) < 3:
         raise ValueError("boundary needs at least 3 entries")
     if any(x == 0 for x in d):
         raise ValueError("boundary entries must be nonzero")
-    for x in d:
-        if x not in domain:
+    z, members, member = _integer_problem(domain)
+    (zn, ze), dz = z.as_integer_ratio(), []
+    for x in d:  # x lies in the domain exactly when x z is an int member of z * domain
+        n, e = x.as_integer_ratio()
+        y, rest = divmod(n * zn, e * ze)
+        if rest or not member(y):
             raise ValueError(f"boundary entry {x} lies outside the domain")
-
-    m = len(d)
-    z, scaled, member = _integer_problem(domain)
-    dz = tuple(int(x * z) for x in d)
+        dz.append(y)
+    m = len(dz)
     if m == 3:  # height 0: the boundary is the whole frieze
         return [_fold([[0, dz[i], dz[i - 1]] for i in range(m)], z)]
 
-    bound = quiddity_bound(dz, scaled.min_modulus).B
-    top = floor(bound)  # the candidates are the members q with |q| <= top, in runs of ints
-    if scaled.values is None:  # N or Z minus 0
-        runs = ((-top, -1), (1, top)) if scaled.signed else ((1, top),)
-        positive = not scaled.signed
+    # the candidates are the members q with |q| <= top, in runs of ints
+    if members is None:  # N or Z minus 0
+        top = _cap(dz, 1)
+        positive = not domain.signed
+        runs = ((1, top),) if positive else ((-top, -1), (1, top))
     else:
-        runs = [(v, v) for v in map(int, scaled.enumerate_bounded(bound))]
-        positive = min(scaled.values) >= 0
+        top = _cap(dz, min(map(abs, members)))
+        positive = members[0] > 0
+        runs = [(v, v) for v in members if -top <= v <= top]
+    # the window at level m - 5 (module docstring): |q c(0, m-4) - d[m-4] c(0, m-5)| <= width
+    width = abs(dz[m - 5]) * ((top * top + abs(dz[m - 3] * dz[m - 1])) // abs(dz[m - 2]))
 
     # rows[i] holds c(i, i..i+last); extension to column j+1 consumes the
     # quiddity entry q[(j-1) mod m], starting with q[i], so progress is
@@ -187,7 +221,7 @@ def enumerate_friezes(boundary: Sequence, domain: DomainSpec,
     rows = [[0, x] for x in dz]
     quiddity = [0] * m
     leaves: list[list[list[int]]] = []
-    divisors: dict[int, list[int]] = {}  # N repeats: 25,074 values in 239,574 calls on 1^10
+    divisors: dict[int, list[int]] = {}  # N repeats: 65 values in 12,052 calls on 1^10
     nodes = 0
 
     def extend_rows(level: int) -> bool:
@@ -240,9 +274,14 @@ def enumerate_friezes(boundary: Sequence, domain: DomainSpec,
         return sorted(options)
 
     def congruent(level: int) -> Iterable[int]:
-        """The candidates for q[level], level < m - 4, that step every row to an int."""
+        """The candidates for q[level], level < m - 4, that step every row to an int
+        and, at level m - 5, lie in the window."""
         e, f = abs(dz[level]), dz[level + 1]
-        step, start, low = 1, 0, 1 if positive else -top
+        step, start, low, high = 1, 0, 1 if positive else -top, top
+        if level == m - 5:  # the window on c(0, m-5), c(0, m-4)
+            b, a = rows[0][-2:]
+            first, high = _window(a, f * b, width)
+            low = max(low, first)
         for i in range(level + 1):
             b, a = rows[i][-2:]  # c(i, level), c(i, level + 1)
             if positive:  # (q a - f b) / d[level] >= 1
@@ -265,7 +304,7 @@ def enumerate_friezes(boundary: Sequence, domain: DomainSpec,
         ranges = []
         for first, stop in runs:
             first = max(first, low)
-            ranges.append(range(first + (start - first) % step, stop + 1, step))
+            ranges.append(range(first + (start - first) % step, min(stop, high) + 1, step))
         return chain(*ranges)
 
     def options(level: int) -> Iterable[int]:

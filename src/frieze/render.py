@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 
 from .core import FriezeMap, _texts, grid_from_polygon
-from .scalars import scalar_to_str
 from .triangulation import Triangulation, frieze_from_triangulation
 
 SVG_MAX_VERTICES = 64
@@ -62,11 +61,13 @@ def render_svg(obj: FriezeMap | Triangulation, mark: tuple[int, int, int] | None
         )
     else:
         fz = obj
-        segments = [pair for pair, _ in fz.pairs()]
+        segments = [(p, q) for p in range(1, m) for q in range(p + 1, m + 1)]
     if mark is not None:
         if len(mark) != 3 or len(set(mark)) != 3 or any(not 1 <= v <= m for v in mark):
             raise ValueError("mark must be a triple of distinct polygon vertices")
 
+    big, ints = fz._ints
+    texts = _texts(big, ints)
     size, radius = 500.0, 200.0
     center = size / 2
     pos = {v: _vertex_position(m, v, radius, center) for v in range(1, m + 1)}
@@ -83,7 +84,7 @@ def render_svg(obj: FriezeMap | Triangulation, mark: tuple[int, int, int] | None
     def label(p: int, q: int, color: str) -> str:
         (x1, y1), (x2, y2) = pos[p], pos[q]
         mx, my = (x1 + x2) / 2, (y1 + y2) / 2
-        text = scalar_to_str(fz.value(p, q))
+        text = texts[ints[p][q]]
         return (f'<text x="{_fmt(mx)}" y="{_fmt(my)}" fill="{color}" '
                 f'font-size="14" text-anchor="middle">{text}</text>')
 

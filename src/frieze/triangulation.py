@@ -199,7 +199,9 @@ def cut_subpolygon(f: FriezeMap, verts: Sequence[int]) -> FriezeMap:
     """Restrict a frieze to the subpolygon spanned by the given vertices.
 
     The Ptolemy relations restrict, so the result is again a frieze with
-    coefficients on a len(verts)-gon.
+    coefficients on a len(verts)-gon.  Its table is sliced from the map's
+    cleared table (L, L * c), and L is divided by the gcd it shares with
+    the slice, so it stays the lcm of the reduced denominators.
     """
     verts = list(verts)
     if len(verts) < 3:
@@ -208,13 +210,15 @@ def cut_subpolygon(f: FriezeMap, verts: Sequence[int]) -> FriezeMap:
         raise ValueError(f"vertices must lie in 1..{f.m}")
     if any(a >= b for a, b in zip(verts, verts[1:])):
         raise ValueError("vertices must be strictly increasing")
-    k = len(verts)
-    entries = {
-        (a + 1, b + 1): f.value(verts[a], verts[b])
-        for a in range(k)
-        for b in range(a + 1, k)
-    }
-    return FriezeMap(k, entries)
+    k, (big, ints) = len(verts), f._ints
+    table = [[0] * (k + 1), *([0, *itemgetter(*verts)(ints[v])] for v in verts)]
+    for p in range(1, k + 1):
+        if table[p][p % k + 1] == 0:
+            raise ValueError(f"boundary entry at edge ({p}, {p % k + 1}) is zero")
+    g = gcd(big, *set().union(*table))
+    if g != 1:
+        big, table = big // g, [[x // g for x in row] for row in table]
+    return FriezeMap._of(k, _ints=(big, table))
 
 
 def _euclid_quotients(a: int, b: int) -> list[int]:

@@ -125,6 +125,15 @@ CASES = [
     (["render", "-", "--format", "ascii"], gauged_fan(6, W6)),
     (["build", "--boundary", "3/2,7/2,5/2,3/2", "--quiddity", "2,9/2,2,9/2"], None),
     (["build", "--boundary", "1,2,3", "--quiddity", "1/2,1/3,1/5"], None),
+    # larger searches, each domain kind, uncapped
+    (["enumerate", "--boundary", "1,1,1,1,1,1,1,1", "--domain", "nat"], None),
+    (["enumerate", "--boundary", "1,1,1,1,1,1,1,1", "--domain", "nonzero-int"], None),
+    (["enumerate", "--boundary", "2,3,5,7,11", "--domain", "nat"], None),
+    (["enumerate", "--boundary", "6,1,8,6,3", "--domain", "nat"], None),
+    (["enumerate", "--boundary", "2,1,2,1,2,1", "--domain", "nonzero-int"], None),
+    (["enumerate", "--boundary", ",".join(["1/2"] * 7), "--domain", "scaled:1/2"], None),
+    (["enumerate", "--boundary=" + ",".join(["-2/3"] * 6), "--domain", "scaled:-2/3"], None),
+    (["enumerate", "--boundary", "1,2,1,2,1,2", "--domain", "set:1,2,3,4,5,6"], None),
 ]
 
 

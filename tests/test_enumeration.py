@@ -1,8 +1,8 @@
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import enumeration_oracle as oracle
@@ -11,7 +11,8 @@ from frieze import (DomainSpec, EnumerationBudgetExceeded, FriezeMap, Mat2, buil
                     frieze_from_triangulation, grid_from_polygon, parse_domain,
                     quiddity_bound, scale, validate_local, validate_tame,
                     verify_all_ptolemy)
-from frieze.enumeration import MAX_NODES, enumeration_summary
+from frieze.enumeration import (MAX_NODES, _cap, _integer_problem, _window,
+                                enumeration_summary)
 from table_checks import assert_table_made_on_read
 
 NAT = DomainSpec.positive_integers()
@@ -176,6 +177,72 @@ def small_problems(draw):
     return draw(st.lists(st.sampled_from(values), min_size=m, max_size=m)), domain
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_int_setup_matches_the_fraction_rules(data):
+    """The search's int cap and boundary membership against ``quiddity_bound`` and ``in``."""
+    domain = parse_domain(data.draw(st.sampled_from(ORACLE_DOMAINS)))
+    z, members, member = _integer_problem(domain)
+    scaled = domain.scaled(z)
+    if members is None:
+        big_m = 1
+    else:
+        assert members == tuple(sorted(int(v) for v in scaled.values if v))
+        big_m = min(map(abs, members))
+    assert big_m == scaled.min_modulus
+    nonzero = st.integers(-60, 60).filter(bool)
+    dz = data.draw(st.lists(nonzero, min_size=4, max_size=10))
+    for modulus in (big_m, data.draw(st.integers(1, 7))):
+        assert _cap(dz, modulus) == floor(quiddity_bound(dz, modulus).B)
+    x = data.draw(st.sampled_from(boundary_values(domain, 4))
+                  | st.fractions(-8, 8, max_denominator=6).filter(bool))
+    y = x * z
+    assert (y.denominator == 1 and member(y.numerator)) == (x in domain)
+    if x in domain:  # height 0: the boundary is the whole frieze
+        assert enumerate_friezes([x] * 3, domain)[0].boundary_sequence == (x,) * 3
+    else:
+        with pytest.raises(ValueError, match=f"boundary entry {x} lies outside the domain"):
+            enumerate_friezes([x] * 3, domain)
+
+
+@given(st.integers(-40, 40).filter(bool), st.integers(-400, 400), st.integers(0, 300))
+def test_window_ends_are_exact(a, t, width):
+    low, high = _window(a, t, width)
+    assert [q for q in range(-800, 801) if abs(q * a - t) <= width] == list(range(low, high + 1))
+
+
+@st.composite
+def window_problems(draw):
+    """A boundary of 5..7 entries over one of ``ORACLE_DOMAINS``, scaled modulus <= 2."""
+    domain = parse_domain(draw(st.sampled_from(ORACLE_DOMAINS)))
+    m = draw(st.integers(5, 7))
+    values = boundary_values(domain, 2)
+    return draw(st.lists(st.sampled_from(values), min_size=m, max_size=m)), domain
+
+
+@settings(deadline=None, max_examples=60)
+@given(window_problems())
+def test_found_friezes_lie_in_the_window(problem):
+    """Each step of the level m - 5 window argument (module docstring) holds on every result."""
+    boundary, domain = problem
+    try:
+        found = enumerate_friezes(boundary, domain, max_nodes=20_000)
+    except EnumerationBudgetExceeded:
+        reject()
+    z, members, _ = _integer_problem(domain)
+    m, d = len(boundary), [int(x * z) for x in boundary]
+    top = _cap(d, 1 if members is None else min(map(abs, members)))
+    width = abs(d[m - 5]) * ((top * top + abs(d[m - 3] * d[m - 1])) // abs(d[m - 2]))
+    for f in found:
+        c = [x * z for x in grid_from_polygon(f).rows[0]]  # c(0, 0..m)
+        q = [x * z for x in f.quiddity_cycle]
+        assert all(abs(x) <= top for x in q)
+        assert c[m - 2] == q[m - 2]
+        assert q[m - 3] * c[m - 2] == d[m - 3] * d[m - 1] + d[m - 2] * c[m - 3]
+        assert c[m - 3] * d[m - 5] == q[m - 5] * c[m - 4] - d[m - 4] * c[m - 5]
+        assert abs(q[m - 5] * c[m - 4] - d[m - 4] * c[m - 5]) <= width
+
+
 @settings(deadline=None, max_examples=60)
 @given(small_problems())
 def test_search_matches_fraction_oracle(problem):
@@ -220,11 +287,19 @@ def test_large_boundaries_finish_within_the_default_budget(boundary, count):
     assert all(f.boundary_sequence == boundary for f in found)
 
 
-@pytest.mark.parametrize("m, catalan", [(8, 132), (9, 429)])
+@pytest.mark.parametrize("m, catalan", [(8, 132), (9, 429), (10, 1430),
+                                         pytest.param(11, 4862, marks=pytest.mark.slow)])
 def test_unit_boundaries_give_the_triangulation_friezes(m, catalan):
-    found = enumerate_friezes([1] * m, NAT)
+    found = enumerate_friezes([1] * m, NAT, max_nodes=MAX_NODES)
     assert len(found) == catalan
     assert set(found) == {frieze_from_triangulation(t) for t in enumerate_triangulations(m)}
+
+
+def test_signed_unit_boundary_gives_the_triangulation_friezes():
+    # over Z minus 0 too, nine unit entries give only the classic friezes
+    found = enumerate_friezes([1] * 9, parse_domain("nonzero-int"), max_nodes=MAX_NODES)
+    assert len(found) == 429
+    assert set(found) == {frieze_from_triangulation(t) for t in enumerate_triangulations(9)}
 
 
 def test_pins_alone_rule_out_the_sign_flipped_pentagon():

@@ -10,22 +10,24 @@ constructor, is checked against a ``Fraction`` table made at once.
 """
 
 import json
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import validator_oracles as oracle
 from frieze import (DomainSpec, FriezeMap, PatternGrid, Triangulation, build_pattern,
-                    check_glide, enumerate_friezes, frieze_from_json,
+                    check_glide, cut_subpolygon, enumerate_friezes, frieze_from_json,
                     frieze_from_triangulation, frieze_to_json, grid_from_polygon,
                     render_ascii, scalar_to_str, to_polygon, validate_local, validate_tame,
                     verify_all_ptolemy)
-from frieze.core import _text
+from frieze.core import _cleared, _text
 from frieze.triangulation import enumerate_triangulations
 from table_checks import (assert_ints_made_on_read, assert_table_made_on_read,
                           assert_tables, fraction_rows, slot_is_set)
@@ -294,6 +296,24 @@ def test_loaded_maps_make_their_table_on_read(doc):
     eager = FriezeMap(doc["m"], {tuple(map(int, key.split(","))): Fraction(text)
                                  for key, text in doc["entries"].items()})
     assert_table_made_on_read(frieze_from_json(doc), eager._table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps | negative_friezes, st.data())
+def test_cut_maps_make_their_table_on_read(f, data):
+    """A cut slices the cleared table, and its L is the lcm of the reduced denominators."""
+    verts = sorted(data.draw(st.sets(st.integers(1, f.m), min_size=3)))
+    entries = {(a, b): f.value(verts[a - 1], verts[b - 1])
+               for a in range(1, len(verts)) for b in range(a + 1, len(verts) + 1)}
+    try:
+        eager = FriezeMap(len(verts), entries)
+    except ValueError as exc:  # a zero diagonal of f became an edge
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            cut_subpolygon(f, verts)
+        return
+    cut = cut_subpolygon(f, verts)
+    assert cut._ints[0] == _cleared(cut._table)[0]
+    assert_table_made_on_read(cut_subpolygon(f, verts), eager._table)
 
 
 @settings(max_examples=100, deadline=None)
