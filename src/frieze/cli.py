@@ -141,7 +141,7 @@ def _refuse_above(m: int, what: str, name: str, cap: int) -> None:
                                  f"{name} = {cap} vertices")
 
 
-def _table_frieze(tri: Triangulation):
+def _capped_frieze(tri: Triangulation):
     """The classic frieze of ``tri``, refused above the cap on its m x m table."""
     _refuse_above(tri.m, "the frieze", "MAX_TABLE_VERTICES", triangulation.MAX_TABLE_VERTICES)
     return frieze_from_triangulation(tri)
@@ -149,7 +149,7 @@ def _table_frieze(tri: Triangulation):
 
 def _cmd_from_triangulation(args) -> int:
     tri = triangulation_from_json(_load_json(args.file))
-    _emit(json.dumps(frieze_to_json(_table_frieze(tri)), indent=2) + "\n", args.output)
+    _emit(json.dumps(frieze_to_json(_capped_frieze(tri)), indent=2) + "\n", args.output)
     return EXIT_OK
 
 
@@ -205,7 +205,7 @@ def _cmd_render(args) -> int:
         raise _UsageError("--mark applies only to --format svg")
     obj = _load_any(args.file)
     if args.format == "ascii":
-        f = _table_frieze(obj) if isinstance(obj, Triangulation) else obj
+        f = _capped_frieze(obj) if isinstance(obj, Triangulation) else obj
         _emit(render_ascii(f), args.output)
     else:
         _refuse_above(obj.m, "the drawing", "SVG_MAX_VERTICES", render.SVG_MAX_VERTICES)

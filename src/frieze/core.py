@@ -12,18 +12,20 @@ edge and diagonal of an m-gon with vertices 1..m, kept in a symmetric
 table indexed by vertex.  ``normalize_index`` maps a grid index to its
 polygon pair; ``grid_from_polygon`` unfolds whole table rows at once.
 
-Each holds its table as ``Fraction``s (``_table``, from the validating
-constructor) or cleared of denominators, (L, L * c) as ints with L their
-lcm (``_ints``, from the builders), and makes the missing form on first
-read; ``_fractions`` makes one shared ``Fraction`` per distinct int.  The
-homogeneous checks (local rule, tameness, glide, Ptolemy) run on the ints;
-the writers format each distinct int once.
+Each holds one table, cleared of denominators: ``_ints`` is (L, L * c)
+with L the lcm of the reduced denominators, so two equal objects hold
+equal ints.  The validating constructors clear their input once; a
+builder whose ints can share a factor with L (a fold, a cut, a rescale)
+divides it out with ``_lowest``.  The readers make the ``Fraction``s they
+return on each call, one per distinct int.  The homogeneous checks (local rule, tameness, glide,
+Ptolemy) run on the ints; the writers format each distinct int once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterator, Mapping
@@ -87,28 +89,35 @@ class ValidationReport:
 
 
 class _Tables:
-    """Base of the two immutable table classes: an unset ``_table`` or ``_ints``
-    is made from the other on first read and stored (a race stores equal values)."""
+    """Base of the two immutable table classes: m and the cleared table
+    ``_ints`` = (L, rows), rows a list of int lists and L > 0 sharing no
+    factor with all of them.  Equality compares m and the ints."""
 
     __slots__ = ()
 
     @classmethod
-    def _of(cls, m: int, **table):
-        """The object valid by construction of m and ``_table=`` or ``_ints=`` (L, rows)."""
+    def _of(cls, m: int, ints: tuple[int, list[list[int]]]):
+        """The object valid by construction of m and its lowest-terms cleared table (L, rows)."""
         obj = object.__new__(cls)
-        for name, value in {"m": m, **table}.items():
-            object.__setattr__(obj, name, value)
+        object.__setattr__(obj, "m", m)
+        object.__setattr__(obj, "_ints", ints)
         return obj
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __getattr__(self, name):  # called only for an unset slot or an unknown name
-        if name not in ("_table", "_ints"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = self._rows(_fractions(*self._ints)) if name == "_table" else _cleared(self._table)
-        object.__setattr__(self, name, value)
-        return value
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self.m == other.m and self._ints == other._ints
+
+    @property
+    def boundary_sequence(self) -> tuple[Fraction, ...]:
+        """d_i = c(i, i+1) for i = 0..m-1, aligned with grid row indexing."""
+        return self._cycle(1)
+
+    @property
+    def quiddity_cycle(self) -> tuple[Fraction, ...]:
+        """q_i = c(i, i+2) for i = 0..m-1."""
+        return self._cycle(2)
 
 
 class PatternGrid(_Tables):
@@ -119,12 +128,10 @@ class PatternGrid(_Tables):
     generated from an m-periodic boundary and quiddity.  Structural
     invariants (stored zeros at both ends of each row, nonzero boundary
     entries) are enforced here; mathematical validity is a separate concern
-    for the validators.  Only the ``Fraction`` rows, made on first read if a
-    builder handed over the cleared rows, take part in equality and hashing.
+    for the validators.
     """
 
-    __slots__ = ("m", "_table", "_ints")
-    _rows = tuple
+    __slots__ = ("m", "_ints")
 
     def __init__(self, rows) -> None:
         table = tuple(tuple(as_scalar(x) for x in row) for row in rows)
@@ -139,10 +146,10 @@ class PatternGrid(_Tables):
             if row[1] == 0:
                 raise ValueError(f"boundary entry c({i}, {i + 1}) is zero")
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_ints", _cleared(table))
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor
-        return PatternGrid, (self._table,)
+        return PatternGrid, (self.rows,)
 
     @property
     def n(self) -> int:
@@ -151,39 +158,31 @@ class PatternGrid(_Tables):
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._table
+        return tuple(_fractions(*self._ints))
 
     def entry(self, i: int, j: int) -> Fraction:
         """c(i, j) for any integer row i and i - 1 <= j <= i + m + 1.
 
         The two extra offsets are the extended diagonals of the pattern.
         """
-        m = self.m
+        (big, table), m = self._ints, self.m
         r = i % m
         offset = j - i
         if offset == -1:
-            return -self._table[(r - 1) % m][1]
+            return Fraction(-table[(r - 1) % m][1], big)
         if offset == m + 1:
-            return -self._table[r][1]
+            return Fraction(-table[r][1], big)
         if 0 <= offset <= m:
-            return self._table[r][offset]
+            return Fraction(table[r][offset], big)
         raise ValueError(f"entry ({i}, {j}) outside the extended strip")
 
-    @property
-    def boundary_sequence(self) -> tuple[Fraction, ...]:
-        """d_i = c(i, i+1) for i = 0..m-1."""
-        return tuple(row[1] for row in self._table)
-
-    @property
-    def quiddity_cycle(self) -> tuple[Fraction, ...]:
-        """q_i = c(i, i+2) for i = 0..m-1."""
-        return tuple(row[2] for row in self._table)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PatternGrid) and self._table == other._table
+    def _cycle(self, k: int) -> tuple[Fraction, ...]:
+        """c(i, i+k) for i = 0..m-1: column k of the rows."""
+        big, table = self._ints
+        return next(_fractions(big, [[row[k] for row in table]]))
 
     def __hash__(self) -> int:
-        return hash(self._table)
+        return hash(self.rows)
 
     def __repr__(self) -> str:
         return f"PatternGrid(m={self.m}, n={self.n})"
@@ -196,8 +195,17 @@ def _cleared(rows) -> tuple[int, list[list[int]]]:
     return big, [[n * (big // e) for n, e in row] for row in ratios]
 
 
+def _lowest(big: int, rows: list[list[int]]) -> tuple[int, list[list[int]]]:
+    """(L, rows) divided by gcd(L, every entry): L becomes the reduced denominators' lcm."""
+    g = gcd(big, *set().union(*rows))
+    if g == 1:
+        return big, rows
+    return big // g, [[x // g for x in row] for row in rows]
+
+
 def _fractions(big: int, rows) -> Iterator[tuple[Fraction, ...]]:
-    """The rows of x / L for a cleared table (L, rows), one shared ``Fraction`` per distinct x."""
+    """The rows of x / L for a cleared table (L, rows) of rows of two or more
+    entries, one shared ``Fraction`` per distinct x."""
     values = set().union(*rows)
     scalars = ({x: Fraction(x) for x in values} if big == 1  # Fraction(x) takes no gcd
                else {x: Fraction(x, big) for x in values})
@@ -287,13 +295,10 @@ class FriezeMap(_Tables):
     The values sit in one symmetric (m+1) x (m+1) table indexed by vertex:
     c(p, q) = c(q, p) for vertices 1..m, zero on the diagonal, and a zero
     row and column 0 that no vertex reads.  The map is immutable, hence
-    safe to share between threads.  Only the ``Fraction`` table, made on
-    first read if a builder handed over the cleared table, takes part in
-    equality and hashing.
+    safe to share between threads.
     """
 
-    __slots__ = ("m", "_table", "_ints")
-    _rows = list
+    __slots__ = ("m", "_ints")
 
     def __init__(self, m: int, entries: Mapping[tuple[int, int], object]) -> None:
         if m < 3:
@@ -314,7 +319,7 @@ class FriezeMap(_Tables):
             if table[p][p % m + 1] == 0:
                 raise ValueError(f"boundary entry at edge ({p}, {p % m + 1}) is zero")
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_table", list(map(tuple, table)))
+        object.__setattr__(self, "_ints", _cleared(table))
 
     def __reduce__(self):  # copy and pickle rebuild through the constructor
         return FriezeMap, (self.m, dict(self.pairs()))
@@ -323,30 +328,26 @@ class FriezeMap(_Tables):
         """Symmetric lookup for vertices 1..m; equal vertices read as 0."""
         if not (1 <= p <= self.m and 1 <= q <= self.m):
             raise ValueError(f"vertices must lie in 1..{self.m}")
-        return self._table[p][q]
+        big, table = self._ints
+        return Fraction(table[p][q], big)
 
     def value_indexed(self, i: int, j: int) -> Fraction:
         """Grid-style lookup via :func:`normalize_index` (i <= j <= i + m)."""
         pair = normalize_index(self.m, i, j)
         if pair is ZERO_ENTRY:
             return Fraction(0)
-        return self._table[pair[0]][pair[1]]
+        return self.value(*pair)
 
     def pairs(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         """Items ((p, q), c(p, q)) for 1 <= p < q <= m, in pair order."""
-        m = self.m
-        return iter([((p, q), row[q]) for p, row in enumerate(self._table[1:m], 1)
-                     for q in range(p + 1, m + 1)])
+        (big, table), m = self._ints, self.m
+        values = next(_fractions(big, [[x for p in range(1, m) for x in table[p][p + 1:]]]))
+        return zip(combinations(range(1, m + 1), 2), values)
 
-    @property
-    def boundary_sequence(self) -> tuple[Fraction, ...]:
-        """d_i = c(i, i+1), i = 0..m-1, aligned with grid row indexing."""
-        return tuple(self.value_indexed(i, i + 1) for i in range(self.m))
-
-    @property
-    def quiddity_cycle(self) -> tuple[Fraction, ...]:
-        """q_i = c(i, i+2), i = 0..m-1."""
-        return tuple(self.value_indexed(i, i + 2) for i in range(self.m))
+    def _cycle(self, k: int) -> tuple[Fraction, ...]:
+        """c(i, i+k) for i = 0..m-1 as c(v, w): v = i (m for i = 0), w = v + k folded into 1..m."""
+        (big, table), m = self._ints, self.m
+        return next(_fractions(big, [[table[v][(v + k - 1) % m + 1] for v in (m, *range(1, m))]]))
 
     @property
     def edge_values(self) -> tuple[Fraction, ...]:
@@ -356,10 +357,6 @@ class FriezeMap(_Tables):
     def diagonal_items(self) -> list[tuple[tuple[int, int], Fraction]]:
         m = self.m
         return [((p, q), v) for (p, q), v in self.pairs() if q - p not in (1, m - 1)]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FriezeMap) and self.m == other.m
-                and self._table == other._table)
 
     def __hash__(self) -> int:
         return hash(self.sort_key())
@@ -388,10 +385,11 @@ def _fold(rows, z=1) -> FriezeMap:
         row = rows[p % m]
         turned.append([0, *row[m - p + 1:m], *row[:m - p + 1]])
     num, den = z.as_integer_ratio()
-    g, factor = gcd(num, *set().union(*turned)), den if num > 0 else -den
-    if g != 1 or factor != 1:  # L c = x / z * L = x / g * factor, with L = |num| / g
-        turned = [[x // g * factor for x in row] for row in turned]
-    return FriezeMap._of(m, _ints=(abs(num) // g, turned))
+    big, turned = _lowest(abs(num), turned)  # c = x / z = x * den / num: L c = x * den * sign
+    factor = den if num > 0 else -den  # shares no factor with num, so L stays in lowest terms
+    if factor != 1:
+        turned = [[x * factor for x in row] for row in turned]
+    return FriezeMap._of(m, (big, turned))
 
 
 def to_polygon(grid: PatternGrid) -> FriezeMap:
@@ -416,16 +414,16 @@ def grid_from_polygon(f: FriezeMap) -> PatternGrid:
     table, and the grid is handed those alone.
     """
     m, (big, ints) = f.m, f._ints
-    return PatternGrid._of(m, _ints=(big, [ints[v][v:] + ints[v][1:v + 1]
-                                           for v in (m, *range(1, m))]))
+    return PatternGrid._of(m, (big, [ints[v][v:] + ints[v][1:v + 1] for v in (m, *range(1, m))]))
 
 
 def scale(f: FriezeMap, z) -> FriezeMap:
-    """Multiply every entry by a nonzero rational (Remark-style rescaling)."""
-    factor = as_scalar(z)
-    if factor == 0:
+    """Multiply every entry by a nonzero rational (Remark-style rescaling): x / L times n / e."""
+    num, den = as_scalar(z).as_integer_ratio()
+    if num == 0:
         raise ValueError("scaling factor must be nonzero")
-    return FriezeMap(f.m, {pair: v * factor for pair, v in f.pairs()})
+    big, ints = f._ints
+    return FriezeMap._of(f.m, _lowest(big * den, [[x * num for x in row] for row in ints]))
 
 
 # -- JSON wire format ------------------------------------------------------
@@ -507,4 +505,4 @@ def frieze_from_json(obj) -> FriezeMap:
         row[0] = row[p] = 0
         if row[p % m + 1] == 0:
             raise ValueError(f"boundary entry at edge ({p}, {p % m + 1}) is zero")
-    return FriezeMap._of(m, _ints=(big, table))
+    return FriezeMap._of(m, (big, table))

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .core import PatternGrid, _fractions
+from .core import PatternGrid, _cleared
 from .scalars import as_scalar
 
 
@@ -201,17 +201,19 @@ def build_pattern(boundary: Sequence, quiddity: Sequence) -> PatternGrid:
     by boundary entries.  The rows are walked on the cleared cycles of
     ``_cycles`` from the seed -L d_{i-1}; the step is homogeneous of
     degree 1 in its window, so the entries come out as L c(i, j): ints, or
-    ``Fraction``s on a row that left a remainder.  Ints are all the grid is
-    given (every cycle value is an entry, so L is their lcm denominator);
-    otherwise each distinct entry is divided back by L once.
+    ``Fraction``s on a row that left a remainder.  Those are cleared in
+    turn, by the lcm D of their denominators, into the ints L D c(i, j).
+    Either table is the grid's as it stands: every cycle value is an entry,
+    so L, or L D, is the lcm of the reduced denominators.
     """
     big, d, q = _cycles(boundary, quiddity)
     m = len(d)
     walked = [[0, *_walk(-d[i - 1], 0, d, q, i, m - 1), 0] for i in range(m)]
     # a walk that left a remainder ends on a Fraction: its denominator never returns to 1
     if all(type(row[-2]) is int for row in walked):
-        return PatternGrid._of(m, _ints=(big, walked))
-    return PatternGrid._of(m, _table=tuple(_fractions(big, walked)))
+        return PatternGrid._of(m, (big, walked))
+    den, table = _cleared(walked)
+    return PatternGrid._of(m, (big * den, table))
 
 
 def closure_product(boundary: Sequence, quiddity: Sequence) -> Mat2:

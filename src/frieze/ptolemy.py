@@ -46,8 +46,8 @@ def ptolemy_holds(f: FriezeMap, i: int, j: int, k: int, l: int) -> bool:
     """Exact check of one Ptolemy relation for 1 <= i <= j <= k <= l <= m."""
     if not (1 <= i <= j <= k <= l <= f.m):
         raise ValueError("vertices must be weakly increasing within 1..m")
-    return (f.value(i, k) * f.value(j, l)
-            == f.value(i, l) * f.value(j, k) + f.value(i, j) * f.value(k, l))
+    c = f._ints[1]  # the relation is homogeneous of degree 2: compare L * c(.) as ints
+    return c[i][k] * c[j][l] == c[i][l] * c[j][k] + c[i][j] * c[k][l]
 
 
 def _suspect_pairs(c: list[list[int]], m: int, r: int) -> set[tuple[int, int]]:

@@ -18,7 +18,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .core import FriezeMap
+from .core import FriezeMap, _lowest
 from .propagation import _walk
 
 #: Largest polygon :func:`accordion` and ``realize_triangle`` will build.  A
@@ -176,8 +176,7 @@ def frieze_from_triangulation(t: Triangulation) -> FriezeMap:
     symmetric (the walked rows against the stepped ones), every edge carries
     1, and the non-edge pairs carrying 1 are exactly the diagonals of the
     triangulation.  The checked int table, with its zero row and column 0,
-    is the map's cleared table (1, c): the map makes its ``Fraction``s,
-    one shared per distinct label, only when they are read.
+    is the map's cleared table (1, c) as it stands.
     """
     m = t.m
     rows = [[0, *cc_labels_from(t, m)[1:]], [0, *cc_labels_from(t, 1)[1:]]]  # rows m, 1, 2, ...
@@ -192,7 +191,7 @@ def frieze_from_triangulation(t: Triangulation) -> FriezeMap:
     assert (all(table[p][q] == 1 for p, q in t.diagonals)
             and sum(row.count(1) for row in table) == 2 * (2 * m - 3)), \
         "unit non-edges must be the diagonals"
-    return FriezeMap._of(m, _ints=(1, table))
+    return FriezeMap._of(m, (1, table))
 
 
 def cut_subpolygon(f: FriezeMap, verts: Sequence[int]) -> FriezeMap:
@@ -200,8 +199,8 @@ def cut_subpolygon(f: FriezeMap, verts: Sequence[int]) -> FriezeMap:
 
     The Ptolemy relations restrict, so the result is again a frieze with
     coefficients on a len(verts)-gon.  Its table is sliced from the map's
-    cleared table (L, L * c), and L is divided by the gcd it shares with
-    the slice, so it stays the lcm of the reduced denominators.
+    cleared table (L, L * c) and brought to lowest terms, so L becomes the
+    lcm of the slice's reduced denominators.
     """
     verts = list(verts)
     if len(verts) < 3:
@@ -215,10 +214,7 @@ def cut_subpolygon(f: FriezeMap, verts: Sequence[int]) -> FriezeMap:
     for p in range(1, k + 1):
         if table[p][p % k + 1] == 0:
             raise ValueError(f"boundary entry at edge ({p}, {p % k + 1}) is zero")
-    g = gcd(big, *set().union(*table))
-    if g != 1:
-        big, table = big // g, [[x // g for x in row] for row in table]
-    return FriezeMap._of(k, _ints=(big, table))
+    return FriezeMap._of(k, _lowest(big, table))
 
 
 def _euclid_quotients(a: int, b: int) -> list[int]:

@@ -6,7 +6,9 @@ Runs every case in ``CASES`` through ``frieze.cli.main`` in one process,
 with the package imported from SRC (default: the ``src`` directory of this
 checkout), and records each case's argv, stdin, exit code and the SHA-256
 of its stdout and of its stderr.  Input documents are given on stdin
-through ``-``, so no case reads or writes a file.  Help text is wrapped at
+through ``-``, so no case reads a file.  A case whose argv holds ``OUT``
+writes through ``-o`` to that name in a fresh temporary directory, and
+records the SHA-256 of the file's bytes too.  Help text is wrapped at
 ``COLUMNS`` = 80, and the manifest notes the Python version, since argparse
 lays out help differently across versions.  Stdlib only.
 
@@ -22,6 +24,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -67,6 +70,8 @@ ALL_ONES_6 = {"m": 6, "entries": {f"{p},{q}": "1" for p in range(1, 7) for q in 
 # the triangulation printed by ``frieze accordion 21 13``
 ACCORDION_21_13 = {"m": 9, "diagonals": [[2, 8], [2, 9], [3, 7], [3, 8], [4, 6], [4, 7]]}
 
+#: the argv placeholder for an output file, written with ``-o``
+OUT = "OUT"
 F80_F81_F82 = ["23416728348467685", "37889062373143906", "61305790721611591"]
 P = str(10**18 + 3)
 COMMANDS = ("build", "validate", "from-triangulation", "cut", "accordion",
@@ -134,24 +139,50 @@ CASES = [
     (["enumerate", "--boundary", ",".join(["1/2"] * 7), "--domain", "scaled:1/2"], None),
     (["enumerate", "--boundary=" + ",".join(["-2/3"] * 6), "--domain", "scaled:-2/3"], None),
     (["enumerate", "--boundary", "1,2,1,2,1,2", "--domain", "set:1,2,3,4,5,6"], None),
+    # written to a file with -o: whole and rational builds (the second one's rows
+    # leave a remainder), a classic frieze, cuts that keep and shrink the common
+    # denominator, and both render formats
+    (["build", "--boundary", "3/2,7/2,5/2,3/2", "--quiddity", "2,9/2,2,9/2", "-o", OUT], None),
+    (["build", "--boundary", "7/6,3/2,2,5/6,5/4,7/3",
+      "--quiddity", "28,1/3,15/2,4/3,35/6,1/2", "-o", OUT], None),
+    (["from-triangulation", "-", "-o", OUT], fan(12)),
+    (["from-triangulation", "-", "-o", OUT], ACCORDION_21_13),
+    (["cut", "-", "--verts", "2,4,5,8", "-o", OUT], gauged_fan(8, W8)),
+    (["cut", "-", "--verts", "2,5,6,7", "-o", OUT], gauged_fan(7, W7)),
+    (["render", "-", "--format", "ascii", "-o", OUT], gauged_fan(8, W8)),
+    (["render", "-", "--format", "ascii", "-o", OUT], HEX_TRI),
+    (["render", "-", "--format", "svg", "--mark", "2,4,7", "-o", OUT], gauged_fan(7, W7)),
+    (["render", "-", "--format", "svg", "-o", OUT], ACCORDION_21_13),
 ]
 
 
-def run(main, argv: list[str], stdin: str) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one ``main(argv)`` call."""
+def run(main, argv: list[str], stdin: str) -> tuple[int, str, str, bytes | None]:
+    """Exit code, stdout and stderr of one ``main(argv)`` call, and the bytes
+    written to ``OUT`` (None if the argv names no ``OUT`` or nothing was written)."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / OUT
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([str(path) if arg == OUT else arg for arg in argv])
+            written = path.read_bytes() if path.exists() else None
     finally:
         sys.stdin = saved
-    return code, out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue(), written
 
 
-def sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def sha256(data: str | bytes) -> str:
+    return hashlib.sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
+
+
+def record(code: int, out: str, err: str, written: bytes | None) -> dict:
+    """A case's outcome as the manifest keeps it; ``output_sha256`` only for an ``OUT`` case."""
+    outcome = {"exit": code, "stdout_sha256": sha256(out), "stderr_sha256": sha256(err)}
+    if written is not None:
+        outcome["output_sha256"] = sha256(written)
+    return outcome
 
 
 def main(src: Path) -> None:
@@ -162,9 +193,8 @@ def main(src: Path) -> None:
     cases = []
     for argv, doc in CASES:
         stdin = "" if doc is None else json.dumps(doc)
-        code, out, err = run(frieze_main, argv, stdin)
-        cases.append({"argv": argv, "stdin": stdin, "exit": code,
-                      "stdout_sha256": sha256(out), "stderr_sha256": sha256(err)})
+        cases.append({"argv": argv, "stdin": stdin,
+                      **record(*run(frieze_main, argv, stdin))})
     head = {"python": "%d.%d" % sys.version_info[:2], "columns": COLUMNS}
     lines = ",\n".join(json.dumps(case) for case in cases)  # one case a line, for diffs
     text = json.dumps(head)[:-1] + ', "cases": [\n' + lines + "\n]}\n"

@@ -1,63 +1,68 @@
-"""Checks on the two forms of a map's or grid's table, and a row oracle.
+"""Checks on a map's or grid's one table, and a row oracle.
 
-``FriezeMap`` and ``PatternGrid`` hold their entries as ``Fraction``s
-(``_table``), as the cleared ints (L, L * c) (``_ints``), or both; the
-missing form is made on first read.  ``assert_table_made_on_read`` checks
-an object that a builder handed its ints alone, and
-``assert_ints_made_on_read`` one from a validating constructor.
-``fraction_rows`` walks the rows of ``build_pattern`` in plain ``Fraction``
-arithmetic.
+``FriezeMap`` and ``PatternGrid`` hold their entries as the cleared ints
+(L, L * c) alone (``_ints``), L the lcm of the reduced denominators, and
+make the ``Fraction``s they return on each read.  ``assert_same_table``
+checks an object against an eager one from a validating constructor;
+``assert_canonical`` checks it against its own rebuild from its public
+readers.  ``fraction_rows`` walks the rows of ``build_pattern`` in plain
+``Fraction`` arithmetic.
 """
 
 import copy
 import pickle
 from fractions import Fraction
 
-from frieze.core import _cleared
+from frieze import FriezeMap, PatternGrid
 
 
-def slot_is_set(obj, name):
-    """Whether the slot ``name`` holds a value, read past the fill on first use."""
-    try:
-        getattr(type(obj), name).__get__(obj)
-    except AttributeError:
-        return False
-    return True
+def public_reads(obj):
+    """Everything the public readers of a map or a grid return, in one tuple."""
+    m = obj.m
+    if isinstance(obj, PatternGrid):
+        return (m, obj.rows, obj.boundary_sequence, obj.quiddity_cycle,
+                [obj.entry(i, j) for i in range(-1, m + 1) for j in range(i - 1, i + m + 2)])
+    return (m, list(obj.pairs()), obj.boundary_sequence, obj.quiddity_cycle, obj.edge_values,
+            [obj.value(p, q) for p in range(1, m + 1) for q in range(1, m + 1)],
+            [obj.value_indexed(i, j) for i in range(m) for j in range(i, i + m + 1)])
 
 
-def assert_tables(obj, eager):
-    """``obj`` reads ``eager`` as its ``Fraction`` table, in the same containers,
-    one object per distinct value, with its cleared form; copies compare equal."""
-    table = obj._table
-    assert table == eager and type(table) is type(eager)
-    assert [type(row) for row in table] == [type(row) for row in eager]
-    values = [x for row in table for x in row]
-    assert {type(x) for x in values} == {Fraction}
-    assert len({id(x) for x in values}) == len(set(values))
-    assert obj._table is table and obj._ints == _cleared(table)
+def eager_twin(obj):
+    """``obj`` rebuilt by its validating constructor from its public readers."""
+    if isinstance(obj, PatternGrid):
+        return PatternGrid(obj.rows)
+    return FriezeMap(obj.m, dict(obj.pairs()))
+
+
+def assert_same_table(obj, eager):
+    """``obj`` and ``eager``, from a validating constructor, hold equal ints with
+    list rows in both, compare and hash equal and read the same; ``obj``'s reads
+    are ``Fraction``s, one per distinct value in its rows or pairs, and leave
+    its ints as they were; copies and pickles of it compare equal."""
+    ints = obj._ints
+    for table in (ints, eager._ints):
+        big, rows = table
+        assert type(big) is int and big > 0 and type(rows) is list
+        assert {type(row) for row in rows} == {list}
+        assert {type(x) for row in rows for x in row} == {int}
+    assert obj._ints == eager._ints and obj == eager and hash(obj) == hash(eager)
+    reads = public_reads(obj)
+    assert reads == public_reads(eager)
+    if isinstance(obj, PatternGrid):
+        assert type(reads[1]) is tuple and {type(row) for row in reads[1]} == {tuple}
+        shared = [x for row in reads[1] for x in row]
+    else:
+        shared = [x for _, x in reads[1]]
+    assert len({id(x) for x in shared}) == len(set(shared))
+    assert {type(x) for x in [*shared, *(x for read in reads[2:] for x in read)]} == {Fraction}
+    assert obj._ints is ints and obj == eager
     for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
-        assert twin == obj and twin._table == table and hash(twin) == hash(obj)
+        assert twin == obj and twin._ints == ints and hash(twin) == hash(obj)
 
 
-def assert_table_made_on_read(obj, eager):
-    """``obj`` was handed its cleared table alone, and its first read makes ``eager``."""
-    assert slot_is_set(obj, "_ints") and not slot_is_set(obj, "_table")
-    ints = obj._ints
-    assert_tables(obj, eager)
-    assert obj._ints is ints
-
-
-def assert_ints_made_on_read(obj, of_ints):
-    """``obj`` keeps the ``Fraction`` table it was built with and clears it on
-    first read; ``of_ints(ints)``, an object handed those ints alone, reads
-    back an equal table."""
-    assert slot_is_set(obj, "_table") and not slot_is_set(obj, "_ints")
-    table = obj._table
-    ints = obj._ints
-    assert ints == _cleared(table) and obj._ints is ints
-    twin = of_ints(ints)
-    assert_table_made_on_read(twin, table)
-    assert twin == obj
+def assert_canonical(obj):
+    """A builder handed ``obj`` the ints its validating constructor makes of its reads."""
+    assert_same_table(obj, eager_twin(obj))
 
 
 def fraction_rows(boundary, quiddity):

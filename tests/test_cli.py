@@ -707,30 +707,49 @@ def test_svg_cap_is_read_at_call_time(monkeypatch):
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "manifest.json").read_text())
 
 
-def sha256(text):
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+#: the manifest's argv placeholder for the file a case writes with ``-o``
+GOLDEN_OUT = "OUT"
 
 
-def golden_record(code, out, err):
-    return {"exit": code, "stdout_sha256": sha256(out), "stderr_sha256": sha256(err)}
+def sha256(data):
+    return hashlib.sha256(data.encode("utf-8") if isinstance(data, str) else data).hexdigest()
+
+
+def golden_record(code, out, err, written=None):
+    record = {"exit": code, "stdout_sha256": sha256(out), "stderr_sha256": sha256(err)}
+    if written is not None:
+        record["output_sha256"] = sha256(written)
+    return record
 
 
 def golden_expected(case):
-    expected = {key: case[key] for key in ("exit", "stdout_sha256", "stderr_sha256")}
+    expected = {key: case[key] for key in
+                ("exit", "stdout_sha256", "stderr_sha256", "output_sha256") if key in case}
     if case["argv"][-1] == "--help" and GOLDEN["python"] != "%d.%d" % sys.version_info[:2]:
         del expected["stdout_sha256"]  # argparse lays out help differently across versions
     return expected
 
 
-def test_golden_corpus_replays_in_one_process(monkeypatch):
+def golden_run(case, folder):
+    """A case's record from ``main``, with ``OUT`` a fresh file in ``folder``."""
+    path = folder / GOLDEN_OUT
+    path.unlink(missing_ok=True)
+    argv = [str(path) if arg == GOLDEN_OUT else arg for arg in case["argv"]]
+    code, out, err = run_in_process(argv, case["stdin"])
+    return golden_record(code, out, err, path.read_bytes() if path.exists() else None)
+
+
+def test_golden_corpus_replays_in_one_process(monkeypatch, tmp_path):
     """Every case of ``golden/manifest.json`` through ``main``, forward and
     then reversed in one process, plus one ``python -m frieze`` subprocess."""
     monkeypatch.setenv("COLUMNS", GOLDEN["columns"])
     cases = GOLDEN["cases"]
+    assert sum("output_sha256" in case for case in cases) >= 10
     for case in cases + cases[::-1]:
-        record = golden_record(*run_in_process(case["argv"], case["stdin"]))
-        expected = golden_expected(case)
+        record, expected = golden_run(case, tmp_path), golden_expected(case)
         assert {key: record[key] for key in expected} == expected, case["argv"]
+        # a file is written only where the manifest records one
+        assert record.keys() - expected.keys() <= {"stdout_sha256"}, case["argv"]
     case = next(c for c in cases if c["argv"] == ["from-triangulation", "-"])
     done = run_frieze(case["argv"], input=case["stdin"], stdout=subprocess.PIPE)
     assert golden_record(done.returncode, done.stdout, done.stderr) == golden_expected(case)

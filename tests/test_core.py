@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import frieze
 import validator_oracles as oracle
+from table_checks import public_reads
 from frieze import (ZERO_ENTRY, FriezeMap, PatternGrid, Triangulation, build_pattern,
                     check_glide, frieze_from_json, frieze_from_triangulation,
                     frieze_to_json, grid_from_polygon, normalize_index, render_ascii,
@@ -446,7 +447,8 @@ def _loader_outcome(load, doc):
         f = load(doc)
     except ValueError as exc:
         return "error", str(exc)
-    return f.m, f._table, [type(v) for row in f._table for v in row]
+    reads = public_reads(f)
+    return f.m, f._ints, reads, [type(v) for _, v in reads[1]]
 
 
 def _loader_corpus():
@@ -471,7 +473,8 @@ def _loader_corpus():
 
 def test_json_loader_matches_the_pair_dict_oracle():
     """Valid and broken documents, up to two faults each, load to the same
-    table or fail with the same first message as the ``FriezeMap(m, entries)`` path."""
+    ints and public reads or fail with the same first message as the
+    ``FriezeMap(m, entries)`` path."""
     docs = _loader_corpus()
     assert len(docs) > 500
     outcomes = [_loader_outcome(frieze_from_json, doc) for doc in docs]

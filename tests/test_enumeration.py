@@ -13,7 +13,7 @@ from frieze import (DomainSpec, EnumerationBudgetExceeded, FriezeMap, Mat2, buil
                     verify_all_ptolemy)
 from frieze.enumeration import (MAX_NODES, _cap, _integer_problem, _window,
                                 enumeration_summary)
-from table_checks import assert_table_made_on_read
+from table_checks import assert_same_table
 
 NAT = DomainSpec.positive_integers()
 #: lattices with positive and negative factors, and sets with 0, a
@@ -268,15 +268,19 @@ def test_negative_scale_sorts_like_the_oracle(spec, boundary):
 
 @pytest.mark.parametrize("spec, boundary", [
     ("nat", "3,7,5,3"), ("nonzero-int", "1,1,-1,-1,1"), ("scaled:1/2", "1/2,1/2,1,1"),
-    ("scaled:-2/3", "-2/3,-2/3,-2/3,-2/3,-2/3"), ("scaled-nat:2", "2,2,2,2"), ("nat", "2,3,5")])
+    ("scaled:-2/3", "-2/3,-2/3,-2/3,-2/3,-2/3"), ("scaled-nat:2", "2,2,2,2"), ("nat", "2,3,5"),
+    ("scaled:3/2", "3/2,3/2,3/2,3/2"), ("set:1,2,3", "1,1,1,1,1"), ("set:-1,1,2,3", "1,1,1,1"),
+    ("set:2,4,6", "2,2,2,2,2"),
+    # entries that share a factor with the search's scale z, which the fold divides out
+    ("scaled:1/2", "1,1,1,1"), ("scaled:-2/3", "2,2,2,2"), ("set:1/2,1,2", "1,1,1,1")])
 def test_results_carry_their_cleared_table(spec, boundary):
-    """Each result is handed its cleared table alone; its first read makes the
-    table of the oracle's map, as the validating constructor builds it."""
+    """Each result holds the cleared table and reads of the oracle's map, as
+    the validating constructor builds it."""
     d, domain = [Fraction(x) for x in boundary.split(",")], parse_domain(spec)
     found, expected = enumerate_friezes(d, domain), oracle.enumerate_friezes(d, domain)
     assert found and len(found) == len(expected)
     for f, g in zip(found, expected):
-        assert_table_made_on_read(f, FriezeMap(g.m, dict(g.pairs()))._table)
+        assert_same_table(f, FriezeMap(g.m, dict(g.pairs())))
 
 
 @pytest.mark.parametrize("boundary, count", [((6, 1, 8, 6, 3), 31), ((2, 3, 5, 7, 11), 16)])

@@ -65,3 +65,22 @@ def test_floats_stay_in_svg_geometry():
     found = {path.name: lines for path in sorted((ROOT / "src" / "frieze").glob("*.py"))
              if (lines := _float_lines(path))}
     assert list(found) == ["render.py"], found
+
+
+def test_readme_library_sketch_runs():
+    """The README's "Library sketch" block runs as written; its map, cut and
+    rescale equal, to the ints, what the validating constructor builds."""
+    text = (ROOT / "README.md").read_text()
+    sketch = text.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    names = {}
+    exec(compile(sketch, "README.md", "exec"), names)
+    f, hexagon, square, found, half = (names[key] for key in
+                                       ("f", "hexagon", "square", "found", "half"))
+    assert f.boundary_sequence == (3, 7, 5, 3) and len(found) == 3
+    expected = [frieze.FriezeMap(f.m, dict(f.pairs())),
+                frieze.FriezeMap(4, {(p, q): hexagon.value(a, b) for (p, q), (a, b) in
+                                     zip([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+                                         [(1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 5)])}),
+                frieze.FriezeMap(found[0].m, {pair: v / 2 for pair, v in found[0].pairs()})]
+    for got, want in zip((f, square, half), expected):
+        assert got == want and got._ints == want._ints and hash(got) == hash(want)

@@ -16,7 +16,7 @@ from frieze import (FriezeMap, Triangulation, accordion, cc_labels_from, cut_sub
                     glue_three, realize_triangle, triangle_label_gcds_divide,
                     triangulation_from_json, triangulation_to_json,
                     verify_all_ptolemy)
-from frieze.core import _cleared
+from table_checks import assert_same_table
 from triangulation_oracles import REALIZE_LADDER, walk_table_frieze
 
 
@@ -204,19 +204,10 @@ def test_frieze_from_triangulation_matches_the_label_table(m, rng):
 
 
 def assert_same_map(f, expected):
-    """``f`` holds the cleared table (1, ints) and no ``Fraction`` table until
-    read; then the same vertex table, entry types and number of shared entry
-    objects as ``expected``, which made its table at once."""
-    big, ints = f._ints
-    with pytest.raises(AttributeError):  # the slot itself, read past the fill on first use
-        FriezeMap._table.__get__(f)
-    assert big == 1 and all(type(x) is int for row in ints for x in row)
-    assert f.m == expected.m and f._table == expected._table
-    assert ([list(map(type, row)) for row in f._table]
-            == [list(map(type, row)) for row in expected._table])
-    assert (len({id(x) for row in f._table for x in row})
-            == len({id(x) for row in expected._table for x in row}))
-    assert f._ints == (big, ints) == _cleared(expected._table)
+    """``f`` holds the cleared table (1, ints) of ``expected``, built by the
+    validating constructor, and reads the same ``Fraction``s."""
+    assert f._ints[0] == 1
+    assert_same_table(f, expected)
 
 
 def test_frieze_from_triangulation_matches_the_walk_table_up_to_9_vertices():

@@ -5,8 +5,9 @@ Each test asserts that ``validate_local``, ``validate_tame`` and
 ``validator_oracles``: the same rules, positions, details and order.
 The checks and writers that share a grid's or map's stored int table are
 also run in shuffled orders, each twice, against the same oracles.  Each
-builder that hands over an int table alone, and each validating
-constructor, is checked against a ``Fraction`` table made at once.
+builder's map or grid, and each validating constructor's, is checked
+against an eager one that the validating constructor builds from an
+oracle's ``Fraction``s: equal ints, equal hashes and equal public reads.
 """
 
 import json
@@ -16,21 +17,22 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import validator_oracles as oracle
+import frieze.propagation
 from frieze import (DomainSpec, FriezeMap, PatternGrid, Triangulation, build_pattern,
                     check_glide, cut_subpolygon, enumerate_friezes, frieze_from_json,
                     frieze_from_triangulation, frieze_to_json, grid_from_polygon,
-                    render_ascii, scalar_to_str, to_polygon, validate_local, validate_tame,
-                    verify_all_ptolemy)
+                    ptolemy_holds, render_ascii, scalar_to_str, scale, to_polygon,
+                    validate_local, validate_tame, verify_all_ptolemy)
 from frieze.core import _cleared, _text
 from frieze.triangulation import enumerate_triangulations
-from table_checks import (assert_ints_made_on_read, assert_table_made_on_read,
-                          assert_tables, fraction_rows, slot_is_set)
+from table_checks import assert_canonical, assert_same_table, fraction_rows
 from triangulation_oracles import walk_table_frieze
 
 sizes = st.integers(3, 10)
@@ -117,6 +119,8 @@ def assert_grid_reports_match(grid):
 def assert_reports_match(f):
     assert_grid_reports_match(grid_from_polygon(f))
     assert verify_all_ptolemy(f) == oracle.verify_all_ptolemy(f)
+    assert ([quad for quad in combinations(range(1, f.m + 1), 4) if not ptolemy_holds(f, *quad)]
+            == [v.at for v in oracle.verify_all_ptolemy(f).violations])
 
 
 @settings(max_examples=100, deadline=None)
@@ -256,29 +260,23 @@ def triangulations(draw):
 @settings(max_examples=60, deadline=None)
 @given(triangulations())
 def test_classic_friezes_make_their_table_on_read(t):
-    assert_table_made_on_read(frieze_from_triangulation(t), walk_table_frieze(t)._table)
+    assert_same_table(frieze_from_triangulation(t), walk_table_frieze(t))
 
 
 @settings(max_examples=100, deadline=None)
 @given(maps | negative_friezes)
 def test_unfolded_grids_make_their_table_on_read(f):
-    assert_table_made_on_read(grid_from_polygon(f), oracle.unfolded_rows(f))
+    assert_same_table(grid_from_polygon(f), PatternGrid(oracle.unfolded_rows(f)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(gauged() | integer_friezes)
 def test_built_and_folded_tables_match_the_fraction_walk(f):
-    """A built grid holds its int rows alone, or on a row with a remainder its
-    ``Fraction`` rows alone; either way the fold back is handed ints."""
+    """A built grid, whether its walked rows are whole or leave a remainder,
+    holds the cleared rows of the ``Fraction`` walk, and so does its fold."""
     d, q = f.boundary_sequence, f.quiddity_cycle
-    grid = build_pattern(d, q)
-    if slot_is_set(grid, "_table"):
-        assert not slot_is_set(grid, "_ints")
-        assert any(x.denominator > 1 for row in grid._table for x in row)
-        assert_tables(grid, fraction_rows(d, q))
-    else:
-        assert_table_made_on_read(grid, fraction_rows(d, q))
-    assert_table_made_on_read(to_polygon(build_pattern(d, q)), f._table)
+    assert_same_table(build_pattern(d, q), PatternGrid(fraction_rows(d, q)))
+    assert_same_table(to_polygon(build_pattern(d, q)), FriezeMap(f.m, dict(f.pairs())))
 
 
 @settings(max_examples=100, deadline=None)
@@ -287,7 +285,8 @@ def test_built_and_folded_tables_match_the_fraction_walk(f):
     st.lists(st.integers(-4, 4), min_size=m, max_size=m))))
 def test_unit_boundary_grids_make_their_table_on_read(problem):
     boundary, quiddity = problem
-    assert_table_made_on_read(build_pattern(boundary, quiddity), fraction_rows(boundary, quiddity))
+    assert_same_table(build_pattern(boundary, quiddity),
+                      PatternGrid(fraction_rows(boundary, quiddity)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -295,13 +294,13 @@ def test_unit_boundary_grids_make_their_table_on_read(problem):
 def test_loaded_maps_make_their_table_on_read(doc):
     eager = FriezeMap(doc["m"], {tuple(map(int, key.split(","))): Fraction(text)
                                  for key, text in doc["entries"].items()})
-    assert_table_made_on_read(frieze_from_json(doc), eager._table)
+    assert_same_table(frieze_from_json(doc), eager)
 
 
 @settings(max_examples=100, deadline=None)
 @given(maps | negative_friezes, st.data())
 def test_cut_maps_make_their_table_on_read(f, data):
-    """A cut slices the cleared table, and its L is the lcm of the reduced denominators."""
+    """A cut slices the cleared table into the ints the constructor makes of its entries."""
     verts = sorted(data.draw(st.sets(st.integers(1, f.m), min_size=3)))
     entries = {(a, b): f.value(verts[a - 1], verts[b - 1])
                for a in range(1, len(verts)) for b in range(a + 1, len(verts) + 1)}
@@ -311,17 +310,77 @@ def test_cut_maps_make_their_table_on_read(f, data):
         with pytest.raises(ValueError, match=re.escape(str(exc))):
             cut_subpolygon(f, verts)
         return
-    cut = cut_subpolygon(f, verts)
-    assert cut._ints[0] == _cleared(cut._table)[0]
-    assert_table_made_on_read(cut_subpolygon(f, verts), eager._table)
+    assert_same_table(cut_subpolygon(f, verts), eager)
 
 
 @settings(max_examples=100, deadline=None)
 @given(gauged() | corrupted() | symmetric_tables())
-def test_validating_constructors_clear_on_read(f):
-    assert_ints_made_on_read(f, lambda ints: FriezeMap._of(f.m, _ints=ints))
-    rows = grid_from_polygon(f).rows
-    assert_ints_made_on_read(PatternGrid(rows), lambda ints: PatternGrid._of(f.m, _ints=ints))
+def test_validating_constructors_clear_their_input_once(f):
+    """A validating constructor holds ``_cleared`` of its input table, and
+    ``_of`` handed those ints alone makes an equal object."""
+    m, entries = f.m, dict(f.pairs())
+    vertex_table = [[entries.get((min(p, q), max(p, q)), 0) for q in range(m + 1)]
+                    for p in range(m + 1)]
+    rows = oracle.unfolded_rows(f)
+    for obj, table in ((FriezeMap(m, entries), vertex_table), (PatternGrid(rows), rows)):
+        assert obj._ints == _cleared(table)
+        assert_same_table(type(obj)._of(m, obj._ints), obj)
+
+
+#: the 8-gon fan's classic frieze gauged by weights with denominators 2, 3, 4 and 9:
+#: L = 36, and its cut at 3, 5, 6 has L = 4
+FAN8 = Triangulation(8, [(1, q) for q in range(3, 8)])
+WEIGHTS8 = [None, *map(Fraction, ("1", "5/3", "1/2", "2", "3/4", "1", "6", "2/9"))]
+#: the cycles of a gauged 6-gon fan, whose walked rows leave a remainder
+W6_CYCLES = ([Fraction(x) for x in ("7/6", "3/2", "2", "5/6", "5/4", "7/3")],
+             [Fraction(x) for x in ("28", "1/3", "15/2", "4/3", "35/6", "1/2")])
+
+
+def _gauged_fan8():
+    return FriezeMap(8, {(p, q): v * WEIGHTS8[p] * WEIGHTS8[q]
+                         for (p, q), v in frieze_from_triangulation(FAN8).pairs()})
+
+
+def test_every_builder_hands_over_canonical_ints_on_fixed_cases(monkeypatch):
+    """Each builder's result holds the ints, hash and reads that the validating
+    constructor makes of its public reads, on cases where a builder must bring
+    L down (a cut and rescales that share a factor with L) and on both
+    branches of ``build_pattern``."""
+    f = _gauged_fan8()
+    assert f._ints[0] == 36
+    cut = cut_subpolygon(f, [3, 5, 6])
+    assert cut._ints[0] == 4
+    rescaled = scale(f, 6)
+    assert rescaled._ints[0] == 6
+    calls = []  # build_pattern clears its walked rows again only when they left a remainder
+    monkeypatch.setattr(frieze.propagation, "_cleared",
+                        lambda rows: calls.append(1) or _cleared(rows))
+    whole = build_pattern(f.boundary_sequence, f.quiddity_cycle)
+    assert not calls
+    remainder = build_pattern(*W6_CYCLES)
+    assert calls
+    for obj in (f, cut, rescaled, scale(rescaled, Fraction(1, 6)), scale(f, Fraction(-9, 10)),
+                whole, remainder, to_polygon(whole), to_polygon(remainder),
+                grid_from_polygon(cut), frieze_from_json(frieze_to_json(cut)),
+                frieze_from_triangulation(FAN8)):
+        assert_canonical(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(maps | negative_friezes, nonzero_rationals, st.data())
+def test_every_builder_hands_over_canonical_ints(f, z, data):
+    verts = sorted(data.draw(st.sets(st.integers(1, f.m), min_size=3)))
+    d, q = f.boundary_sequence, f.quiddity_cycle
+    results = [grid_from_polygon(f), build_pattern(d, q), frieze_from_json(frieze_to_json(f)),
+               scale(f, z), scale(scale(f, z), 1 / z)]
+    if check_glide(results[1]):
+        results.append(to_polygon(results[1]))
+    try:
+        results.append(cut_subpolygon(f, verts))
+    except ValueError:  # a zero diagonal of f became an edge
+        pass
+    for obj in results:
+        assert_canonical(obj)
 
 
 def test_threads_read_one_fresh_map_at_once():

@@ -3,16 +3,13 @@
 ``walk_table_frieze`` builds the classic frieze of a triangulation by
 walking the row of every vertex with ``cc_labels_from``, the oracle for
 ``frieze_from_triangulation``, which walks two rows and steps the others;
-the oracle makes its ``Fraction`` table at once, one per distinct label.
+the oracle builds its map through the validating constructor.
 ``separating_by_segments`` scans the three arcs with ``is_segment`` for
 every candidate triple, the oracle for ``separating_unit_triangle``,
 which reads neighbour sets.  ``REALIZE_LADDER`` is the accordion ladder of
 the benchmark's ``realize`` workload, whose polygons (m = 48 .. 80) are
 the largest that workload builds.
 """
-
-from fractions import Fraction
-from operator import itemgetter
 
 from frieze import FriezeMap, cc_labels_from
 
@@ -30,13 +27,8 @@ def walk_table_frieze(t) -> FriezeMap:
     assert (all(table[p - 1][q - 1] == 1 for p, q in t.diagonals)
             and sum(row.count(1) for row in table) == 2 * (2 * m - 3)), \
         "unit non-edges must be the diagonals"
-    scalars = {value: Fraction(value) for value in set().union(*table)}
-    zero = scalars[0]
-    f = object.__new__(FriezeMap)  # the Fraction table made at once, not on first read
-    object.__setattr__(f, "m", m)
-    object.__setattr__(f, "_table", [(zero,) * (m + 1),
-                                     *((zero, *itemgetter(*row)(scalars)) for row in table)])
-    return f
+    return FriezeMap(m, {(p, q): table[p - 1][q - 1]
+                         for p in range(1, m + 1) for q in range(p + 1, m + 1)})
 
 
 def separating_by_segments(t, i, j, k):
