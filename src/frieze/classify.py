@@ -12,24 +12,18 @@ nonnegative orthant with a determinant-one transform.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import permutations
 from math import gcd
-from typing import Iterator, NamedTuple
 
 from .scalars import p_valuation, prime_factors
 from .triangulation import (Triangulation, _accordion_size, _check_size, accordion,
                             cc_labels_from, glue_three)
 
 
-class CoeffTuple(NamedTuple):
-    """Element (a1, a2, b1, b2, c1, c2) of the coprime-pair set."""
-
-    a1: int
-    a2: int
-    b1: int
-    b2: int
-    c1: int
-    c2: int
+CoeffTuple = namedtuple("CoeffTuple", "a1 a2 b1 b2 c1 c2", module=__name__)
+CoeffTuple.__doc__ = "Element (a1, a2, b1, b2, c1, c2) of the coprime-pair set: six ints."
 
 
 def in_coefficient_set(t: CoeffTuple) -> bool:

@@ -23,14 +23,13 @@ Ptolemy) run on the ints; the writers format each distinct int once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Iterator, Mapping
 
-from .scalars import _ratio, as_scalar
+from .scalars import _Record, _ratio, as_scalar
 
 
 class _ZeroEntry:
@@ -67,18 +66,25 @@ def normalize_index(m: int, i: int, j: int):
     return (j - m, r)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """A single failed check; ``at`` holds the indices it failed at."""
 
-    rule: str
-    at: tuple[int, ...]
-    detail: str
+    __match_args__ = ("rule", "at", "detail")
+
+    def __init__(self, rule: str, at: tuple[int, ...], detail: str) -> None:
+        fields = self.__dict__
+        fields["rule"] = rule
+        fields["at"] = at
+        fields["detail"] = detail
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...] = ()
+class ValidationReport(_Record):
+    """The violations one or more checks found, in the order they were found."""
+
+    __match_args__ = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...] = ()) -> None:
+        self.__dict__["violations"] = violations
 
     @property
     def ok(self) -> bool:
@@ -197,6 +203,8 @@ def _cleared(rows) -> tuple[int, list[list[int]]]:
 
 def _lowest(big: int, rows: list[list[int]]) -> tuple[int, list[list[int]]]:
     """(L, rows) divided by gcd(L, every entry): L becomes the reduced denominators' lcm."""
+    if big == 1:  # gcd(1, anything) is 1: no entry need be read
+        return big, rows
     g = gcd(big, *set().union(*rows))
     if g == 1:
         return big, rows

@@ -86,23 +86,19 @@ into its polygon map with no further check:
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .core import FriezeMap, _fold
 from .propagation import _step
 from .scalars import DomainSpec, as_scalar, prime_factors, scalar_to_str
 
 
-class BoundData(NamedTuple):
-    """Inputs and result of the quiddity bound."""
-
-    P: Fraction
-    M: Fraction
-    n: int
-    B: Fraction
+BoundData = namedtuple("BoundData", "P M n B", module=__name__)
+BoundData.__doc__ = "Inputs and result of the quiddity bound: ``Fraction`` P, M and B, int n."
 
 
 def quiddity_bound(boundary: Sequence, min_modulus) -> BoundData:

@@ -26,9 +26,9 @@ cycle.  A walk returns its entries as a list.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
 from .core import PatternGrid, _cleared
 from .scalars import as_scalar

@@ -69,8 +69,10 @@ def _suspect_quadruples(c: list[list[int]], m: int):
     The pivots (r, r+1) start at r = 1, 1 + m//3 and 1 + 2m//3, pairwise
     disjoint for m >= 6.  The quadruples are drawn from the smallest
     suspect set and kept when they meet the other two, so one corrupted
-    entry, which misses at least one pivot edge, costs O(m**2).  When
-    drawing would cost more than the full scan, every quadruple is scanned.
+    entry, which misses at least one pivot edge, costs O(m**2).  A drawn
+    pair that lies in both other sets keeps all its quadruples untested,
+    since each of them holds it.  When drawing would cost more than the
+    full scan, every quadruple is scanned.
     """
     first = _suspect_pairs(c, m, 1)
     if not first:
@@ -81,10 +83,13 @@ def _suspect_quadruples(c: list[list[int]], m: int):
         return combinations(range(1, m + 1), 4)
     quads = set()
     for a, b in few:
-        for x, y in combinations([v for v in range(1, m + 1) if v != a and v != b], 2):
-            quad = tuple(sorted((a, b, x, y)))
-            if all(not pairs.isdisjoint(combinations(quad, 2)) for pairs in rest):
-                quads.add(quad)
+        through = (tuple(sorted((a, b, x, y))) for x, y in
+                   combinations([v for v in range(1, m + 1) if v != a and v != b], 2))
+        if all((a, b) in pairs for pairs in rest):
+            quads.update(through)
+        else:
+            quads.update(quad for quad in through
+                         if all(not pairs.isdisjoint(combinations(quad, 2)) for pairs in rest))
     return sorted(quads)
 
 

@@ -11,7 +11,6 @@ effective search.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import gcd
@@ -209,8 +208,44 @@ def p_valuation(p: int, n: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class DomainSpec:
+class _Record:
+    """Base of the package's frozen value records.
+
+    ``__match_args__`` lists the fields in order, and each subclass's
+    ``__init__`` stores every field once, straight into the instance
+    ``__dict__``: a dict store costs less than ``object.__setattr__``, and
+    the validators build one violation per failed relation.  Equality
+    holds only between two instances of one class; hash, repr and
+    ``match`` read the fields in that order.  With no ``__slots__``, copy
+    and pickle take the default path, which restores the ``__dict__``
+    without calling ``__setattr__``.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class DomainSpec(_Record):
     """A discrete set of rationals that frieze entries may be drawn from.
 
     Two shapes are supported: a scaled integer lattice ``{k*factor}`` with
@@ -220,17 +255,20 @@ class DomainSpec:
     by a nonzero rational stays inside the representation.
     """
 
-    factor: Fraction | None = None
-    signed: bool = False
-    values: frozenset[Fraction] | None = None
+    __match_args__ = ("factor", "signed", "values")
 
-    def __post_init__(self) -> None:
-        if (self.factor is None) == (self.values is None):
+    def __init__(self, factor: Fraction | None = None, signed: bool = False,
+                 values: frozenset[Fraction] | None = None) -> None:
+        if (factor is None) == (values is None):
             raise ValueError("DomainSpec needs exactly one of factor/values")
-        if self.factor is not None and self.factor == 0:
+        if factor is not None and factor == 0:
             raise ValueError("lattice factor must be nonzero")
-        if self.values is not None and not any(v != 0 for v in self.values):
+        if values is not None and not any(v != 0 for v in values):
             raise ValueError("explicit domain needs at least one nonzero value")
+        fields = self.__dict__
+        fields["factor"] = factor
+        fields["signed"] = signed
+        fields["values"] = values
 
     # -- constructors ------------------------------------------------------
 

@@ -14,9 +14,9 @@ three-way gluing welds marked edges onto a central unit triangle.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Sequence
 
 from .core import FriezeMap, _lowest
 from .propagation import _walk
@@ -77,6 +77,9 @@ class Triangulation:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Triangulation is immutable")
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return Triangulation, (self.m, sorted(self.diagonals))
 
     def is_segment(self, p: int, q: int) -> bool:
         """True if {p, q} is a polygon edge or a diagonal of this triangulation."""

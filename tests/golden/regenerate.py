@@ -110,13 +110,22 @@ CASES = [
     # realize-triangle refusals
     (["realize-triangle", *F80_F81_F82], None),
     (["realize-triangle", P, P, P], None),
-    # classic friezes and realizations of the benchmark's larger polygons
+    # classic friezes and realizations of the benchmark's larger polygons, the
+    # whole realize ladder among them
     (["from-triangulation", "-"], fan(12)),
     (["from-triangulation", "-"], ACCORDION_21_13),
     (["render", "-", "--format", "ascii"], fan(12)),
     (["realize-triangle", "44", "1", "1"], None),
     (["realize-triangle", "48", "47", "1"], None),
     (["realize-triangle", "72", "71", "1"], None),
+    (["realize-triangle", "50", "1", "1"], None),
+    (["realize-triangle", "56", "1", "1"], None),
+    (["realize-triangle", "62", "1", "1"], None),
+    (["realize-triangle", "68", "1", "1"], None),
+    (["realize-triangle", "76", "1", "1"], None),
+    (["realize-triangle", "54", "53", "1"], None),
+    (["realize-triangle", "60", "59", "1"], None),
+    (["realize-triangle", "66", "65", "1"], None),
     # the SVG size cap: the largest polygon drawn and the smallest refused
     (["render", "-", "--format", "svg"], fan(64)),
     (["render", "-", "--format", "svg"], fan(65)),

@@ -352,11 +352,16 @@ def test_maps_and_matrices_copy_and_pickle():
     negative = frieze.parse_domain("scaled-nat:-1/2")  # folded with a rescale by -2
     maps = (to_polygon(build_pattern([3, 7, 5, 3], [4, 9, 4, 9])),
             frieze.enumerate_friezes([Fraction(-1, 2)] * 5, negative)[0])
-    for obj in (*maps, frieze.mu(1, 1, 1)):
+    triangulations = (Triangulation(5, [(1, 3), (1, 4)]), frieze.accordion(21, 13)[0])
+    for obj in (*maps, frieze.mu(1, 1, 1), *triangulations):
         for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert twin == obj and twin is not obj
             with pytest.raises(AttributeError):
                 twin.extra = None
+    for t in triangulations:
+        twin = pickle.loads(pickle.dumps(t))
+        assert twin.sort_key() == t.sort_key()
+        assert frieze_from_triangulation(twin) == frieze_from_triangulation(t)
     for f in maps:
         twin = pickle.loads(pickle.dumps(f))
         assert frieze_to_json(twin) == frieze_to_json(f) and verify_all_ptolemy(twin).ok

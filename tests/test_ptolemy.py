@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import validator_oracles as oracle
 from frieze import (FriezeMap, Triangulation, build_pattern, frieze_from_triangulation,
                     grid_from_polygon, ptolemy_holds, scale, to_polygon,
                     validate_local, validate_tame, verify_all_ptolemy)
@@ -128,3 +130,29 @@ def test_ptolemy_on_the_m400_fan():
     rest = [v for v in range(1, m + 1) if v not in (2, 134)]
     assert [v.at for v in report.violations] == sorted(
         tuple(sorted((2, 134, x, y))) for x, y in combinations(rest, 2))
+
+
+def test_drawn_quadruples_match_the_full_scan():
+    """The drawn quadruples report what the full C(m, 4) scan reports.
+
+    Each pair of a gauged random 12-gon frieze is moved in turn.  The pivot
+    edges are (1, 2), (5, 6) and (9, 10).  A pair off all three, such as
+    (3, 7), is the lone suspect pair of each edge, so every quadruple through
+    it is kept untested.  A pair on a pivot vertex, such as (2, 7), is not a
+    suspect pair of its own edge, so its quadruples are tested one by one.
+    Random pairs of moved entries follow.
+    """
+    rng = random.Random(24)
+    m = 12
+    tri = frieze_from_triangulation(Triangulation(m, _random_triangulation_diagonals(rng, m)))
+    weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(m + 1)]
+    entries = {(p, q): v * weights[p] * weights[q] for (p, q), v in tri.pairs()}
+    moves = [[pair] for pair in entries] + [rng.sample(sorted(entries), 2) for _ in range(40)]
+    assert [(3, 7)] in moves and [(2, 7)] in moves
+    for pairs in moves:
+        moved = dict(entries)
+        for pair in pairs:
+            moved[pair] += 1
+        f = FriezeMap(m, moved)
+        report = verify_all_ptolemy(f)
+        assert not report.ok and report == oracle.verify_all_ptolemy(f), pairs

@@ -9,8 +9,11 @@ for floats, which only SVG geometry may use.
 """
 
 import ast
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import frieze
@@ -84,3 +87,17 @@ def test_readme_library_sketch_runs():
                 frieze.FriezeMap(found[0].m, {pair: v / 2 for pair, v in found[0].pairs()})]
     for got, want in zip((f, square, half), expected):
         assert got == want and got._ints == want._ints and hash(got) == hash(want)
+
+
+def test_cli_import_loads_no_heavy_stdlib_modules():
+    """A fresh interpreter without ``site`` (which may load ``typing`` on its
+    own) imports ``frieze.cli`` without ``dataclasses``, ``inspect``, ``ast``,
+    ``dis`` or ``typing``: the records are plain classes and the annotations
+    name ``collections.abc``."""
+    probe = "import sys, frieze.cli; print(' '.join(sorted(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(done.stdout.split())
+    assert "frieze.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "ast", "dis", "typing"} == set()
