@@ -360,7 +360,8 @@ class FriezeMap(_Tables):
     @property
     def edge_values(self) -> tuple[Fraction, ...]:
         """Edge labels read around the polygon: (1,2), (2,3), ..., (m,1)."""
-        return tuple(self.value(p, p % self.m + 1) for p in range(1, self.m + 1))
+        b = self._cycle(1)  # c(m, 1), c(1, 2), ..., c(m-1, m)
+        return b[1:] + b[:1]
 
     def diagonal_items(self) -> list[tuple[tuple[int, int], Fraction]]:
         m = self.m

@@ -93,7 +93,6 @@ from itertools import chain
 from math import gcd, lcm
 
 from .core import FriezeMap, _fold
-from .propagation import _step
 from .scalars import DomainSpec, as_scalar, prime_factors, scalar_to_str
 
 
@@ -226,12 +225,14 @@ def enumerate_friezes(boundary: Sequence, domain: DomainSpec,
             row = rows[i]
             j = i + len(row) - 1  # last filled column
             while j < i + m and (h := (j - 1) % m) <= level:
-                nxt = _step(row[-2], row[-1], quiddity[h], dz[j % m], dz[h])
+                nxt, rest = divmod(quiddity[h] * row[-1] - dz[j % m] * row[-2], dz[h])
+                if rest:  # every mirror and every member is an int
+                    return False
                 mirror, offset = rows[(j + 1) % m], i + m - j - 1
                 if offset < len(mirror):  # offset 0 is the closing zero c(i, i+m)
                     if nxt != mirror[offset]:
                         return False
-                elif not (type(nxt) is int and member(nxt)):
+                elif not member(nxt):
                     return False
                 row.append(nxt)
                 j += 1

@@ -2,14 +2,15 @@
 
 Two consecutive entries (x, y) of a row times ``mu(c, d, e)``, built from
 a quiddity value c and boundary values d, e, give the next two entries
-(y, (c y - d x) / e).  That row step is written once, in the kernel
-``_step(x, y, c, d, e)``; ``_walk`` feeds it mu(q[k-1], d[k], d[k-1]) for
-k = i, i+1, ...  Row building, the closure product, entry recovery, the
-enumeration search and the triangulation labels all run through it.  From
-the extended seed (-d_{i-1}, 0) it generates whole rows; one full period of
-the product collapses to -Id exactly when the data closes up into a frieze.
-At unit boundary it is Conway-Coxeter's c(v, w+1) = q_w c(v, w) - c(v, w-1).
-The tests keep the explicit ``mu`` product as the kernel's oracle.
+(y, (c y - d x) / e).  That row step is the kernel ``_walk``, which applies
+mu(q[k-1], d[k], d[k-1]) for k = i, i+1, ...  Row building, the closure
+product, entry recovery and the triangulation labels all run through it;
+the enumeration search, which keeps only whole entries, takes the same
+step with one ``divmod`` and prunes on a remainder.  From the extended
+seed (-d_{i-1}, 0) it generates whole rows; one full period of the product
+collapses to -Id exactly when the data closes up into a frieze.  At unit
+boundary it is Conway-Coxeter's c(v, w+1) = q_w c(v, w) - c(v, w-1).  The
+tests keep the explicit ``mu`` product as the kernel's oracle.
 
 The kernel takes int cycles and int windows only, and every caller hands
 it ints.  ``_cycles`` clears the rational cycles of the three entry points
@@ -19,9 +20,9 @@ from L times the seed gives L times the entries.  A row step that leaves
 a remainder does not switch the row to ``Fraction`` arithmetic: the walk
 carries its window as ints (x, y) over a running int denominator D and
 builds one ``Fraction(y, D)`` per entry.  A walk whose divisors are all 1
-cannot leave a remainder, so it runs ``_step`` at d = e = 1 written
-inline, c y - x; the choice is made once per walk, from its boundary
-cycle.  A walk returns its entries as a list.
+cannot leave a remainder, so it steps by c y - x with no division; the
+choice is made once per walk, from its boundary cycle.  A walk returns its
+entries as a list.
 """
 
 from __future__ import annotations
@@ -106,40 +107,26 @@ def eta(c, d, e) -> Mat2:
     return Mat2(c / e, -d / e, 1, 0)
 
 
-def _step(x, y, c, d, e):
-    """The one row recurrence: (x, y) * mu(c, d, e) = (y, (c y - d x) / e).
-
-    Takes ints and returns the new entry (c y - d x) / e, exactly: an int
-    when e divides, a ``Fraction`` when it leaves a remainder (``int / int``
-    would be a float).
-    """
-    z = c * y - d * x
-    if e == 1:
-        return z
-    quotient, remainder = divmod(z, e)
-    return Fraction(z, e) if remainder else quotient
-
-
 def _walk(x, y, d: Sequence, q: Sequence, k: int, steps: int) -> list:
     """The list c(i, k+1), ..., c(i, k+steps), by row steps from (x, y) = (c(i, k-1), c(i, k)).
 
-    Step k applies mu(q[h], d[h+1], d[h]) for an index h = k - 1 that wraps at m.
-    The cycles and the window are ints.  The entries are those of ``_step``
-    one step at a time, types included, with ``Fraction`` arithmetic along
-    the row from the first remainder on.
+    Step k applies mu(q[h], d[h+1], d[h]) for an index h = k - 1 that wraps
+    at m: the window (x, y) becomes (y, z / e) with z = q[h] y - d[h+1] x
+    and e = d[h].  The cycles and the window are ints.  The entries are
+    those of ``Fraction`` arithmetic along the row, types included: ints
+    until the first step that leaves a remainder, ``Fraction``s after it.
 
     When every divisor is 1 no step can divide, and the loop computes
-    ``_step(x, y, c, 1, 1)`` inline as c y - x, with no call per step.
-    Otherwise the loop carries the window as ints (x, y) over a running
-    denominator D, their least common one, that starts at 1.  The step is
-    homogeneous of degree 1 in its window, so ``_step`` on (x, y) returns
-    D times the true entry.  When that is a ``Fraction`` num/den, the window
-    becomes (y den, num) over D den, and dividing out r = gcd(y den, num,
-    D den) makes D least again.  As num is prime to den, r divides
-    gcd(num, D), so the new D is at least den > 1, and D never returns to
-    1.  The loop appends y while D = 1, ints until the first remainder, and
-    ``Fraction(y, D)`` after it, whole entries included, as ``Fraction``
-    arithmetic along the row would give them.
+    z = q[h] y - x with no division.  Otherwise the loop carries the window
+    as ints (x, y) over a running int denominator D that starts at 1.  The
+    step is homogeneous of degree 1 in its window, so z / e is D times the
+    true entry.  An exact step moves the window to (y, z // e).  A step
+    that leaves a remainder carries the window as (y e, z) over D e and
+    divides out r = gcd(y e, z, D e).  The new D e / r is not 1 or -1: r
+    divides z, so D e / r = +-1 would make e divide z.  So |D| >= 2 from the
+    first remainder on, and D never returns to 1; it may be negative, which
+    ``Fraction(y, D)`` normalizes.  The loop appends y while D = 1, and
+    ``Fraction(y, D)`` after it, whole entries included.
     """
     m = len(d)
     h = (k - 1) % m
@@ -153,16 +140,16 @@ def _walk(x, y, d: Sequence, q: Sequence, k: int, steps: int) -> list:
     big = 1
     for _ in range(steps):
         g = h + 1 if h + 1 < m else 0
-        z = _step(x, y, q[h], d[g], d[h])
+        z, e = q[h] * y - d[g] * x, d[h]
         h = g
-        if type(z) is int:
-            x, y = y, z
-        else:
-            num, den = z.as_integer_ratio()
-            x, y, big = y * den, num, big * den
+        quotient, rest = divmod(z, e)
+        if rest:
+            x, y, big = y * e, z, big * e
             r = gcd(x, y, big)
             if r != 1:
                 x, y, big = x // r, y // r, big // r
+        else:
+            x, y = y, quotient
         out.append(y if big == 1 else Fraction(y, big))
     return out
 

@@ -71,10 +71,7 @@ def scalar_to_str(value: int | str | Fraction) -> str:
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-#: ``prime_factors`` leaves a smaller cofactor to trial division alone.
-_MR_FLOOR = 10**6
-
-#: Trial division hands a composite cofactor to Pollard-Brent past this divisor.
+#: Trial division hands the cofactor left to ``_split_prime_factors`` past this divisor.
 _TRIAL_LIMIT = 10**4
 
 #: Pollard-Brent's budget: polynomial steps x -> x*x + c mod n over one
@@ -166,16 +163,14 @@ def _split_prime_factors(n: int) -> list[int]:
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n >= 1, in increasing order.
 
-    Trial division.  At the start and after each factor is divided out, a
-    cofactor in [``_MR_FLOOR``, ``_MR_BOUND``) is tested by Miller-Rabin,
-    and a prime one ends the loop.  Once the trial divisor passes
-    ``_TRIAL_LIMIT`` (so only for n above its square, 10**8), the cofactor
-    left is split by Pollard-Brent instead, within ``RHO_BUDGET``.
+    Two stages.  Trial division runs up to ``_TRIAL_LIMIT``, and a divisor
+    whose square passes the cofactor left leaves that cofactor 1 or prime.
+    A cofactor still left past the limit (so only one above its square,
+    10**8) goes to ``_split_prime_factors``: Miller-Rabin keeps its prime
+    parts and Pollard-Brent splits the others, within ``RHO_BUDGET``.
     """
     if n < 1:
         raise ValueError("prime_factors expects a positive integer")
-    if _MR_FLOOR <= n < _MR_BOUND and _is_prime(n):
-        return [n]
     factors = []
     f = 2
     while f * f <= n:
@@ -185,8 +180,6 @@ def prime_factors(n: int) -> list[int]:
             factors.append(f)
             while n % f == 0:
                 n //= f
-            if _MR_FLOOR <= n < _MR_BOUND and _is_prime(n):
-                break
         f += 1 if f == 2 else 2
     if n > 1:
         factors.append(n)

@@ -148,6 +148,10 @@ CASES = [
     (["enumerate", "--boundary", ",".join(["1/2"] * 7), "--domain", "scaled:1/2"], None),
     (["enumerate", "--boundary=" + ",".join(["-2/3"] * 6), "--domain", "scaled:-2/3"], None),
     (["enumerate", "--boundary", "1,2,1,2,1,2", "--domain", "set:1,2,3,4,5,6"], None),
+    # row steps that leave a remainder at a negative divisor: a build that is
+    # no frieze, and a search that prunes them at the divisor -2
+    (["build", "--boundary=-2,3,-5,7", "--quiddity", "1,1,1,2"], None),
+    (["enumerate", "--boundary", "1,1,-2,1,2", "--domain", "nonzero-int"], None),
     # written to a file with -o: whole and rational builds (the second one's rows
     # leave a remainder), a classic frieze, cuts that keep and shrink the common
     # denominator, and both render formats

@@ -53,6 +53,7 @@ def assert_same_table(obj, eager):
         shared = [x for row in reads[1] for x in row]
     else:
         shared = [x for _, x in reads[1]]
+        assert reads[4] == tuple(obj.value(p, p % obj.m + 1) for p in range(1, obj.m + 1))
     assert len({id(x) for x in shared}) == len(set(shared))
     assert {type(x) for x in [*shared, *(x for read in reads[2:] for x in read)]} == {Fraction}
     assert obj._ints is ints and obj == eager

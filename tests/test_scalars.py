@@ -61,7 +61,7 @@ def prime_factors_oracle(n):
     return factors
 
 
-#: Primes above the Miller-Rabin floor, up to 2**61 - 1.
+#: Primes from 10**6 up to 2**61 - 1.
 LARGE_PRIMES = (1000003, 10**12 + 39, 10**18 + 3, 10**18 + 9, 2**61 - 1)
 #: Strong pseudoprimes to every prime base up to 7, up to 31 and up to 37.
 STRONG_PSEUDOPRIMES = (3215031751, 3825123056546413051, 318665857834031151167461)
@@ -83,7 +83,7 @@ def test_miller_rabin_matches_trial_division():
 @given(st.integers(min_value=10**6, max_value=10**10))
 @example(3215031751)
 @example(3825123056546413051)
-@example(1000003 * 999983)  # both factors straddle the floor
+@example(1000003 * 999983)  # both factors near 10**6
 @example(1000003**2)
 def test_prime_factors_above_the_floor_matches_trial_division(n):
     assert prime_factors(n) == prime_factors_oracle(n)
