@@ -109,6 +109,8 @@ def _report_detail(report) -> list:
 def _cmd_build(args) -> int:
     boundary = _parse_scalars(args.boundary)
     quiddity = _parse_scalars(args.quiddity)
+    _refuse_above(len(boundary), "the frieze", "MAX_TABLE_VERTICES",
+                  triangulation.MAX_TABLE_VERTICES)
     grid = build_pattern(boundary, quiddity)
     report = validate_local(grid).merged(validate_tame(grid))
     if not report.ok:
@@ -221,6 +223,10 @@ _TABLE_LIMIT = ("The frieze of a triangulation is an m x m table: it is built fo
                 f"MAX_TABLE_VERTICES = {triangulation.MAX_TABLE_VERTICES} vertices, and a "
                 "larger triangulation exits 1 before it is built.")
 
+_BUILD_LIMIT = ("The frieze of m boundary entries is an m x m table: it is built for at most "
+                f"MAX_TABLE_VERTICES = {triangulation.MAX_TABLE_VERTICES} vertices, and a "
+                "longer boundary exits 1 before it is built.")
+
 _FACTOR_LIMIT = (" To size it, the gcd of two labels is factored: trial division to 10**4, "
                  f"then Pollard-Brent within RHO_BUDGET = {RHO_BUDGET} steps (about a "
                  "second); a gcd it cannot split within the budget exits 1.")
@@ -251,7 +257,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_output(p):
         p.add_argument("--output", "-o", default=None, help="output file (default stdout)")
 
-    p = sub.add_parser("build", help="boundary + quiddity -> validated frieze JSON")
+    p = sub.add_parser("build", help="boundary + quiddity -> validated frieze JSON",
+                       description=_BUILD_LIMIT)
     p.add_argument("--boundary", required=True, help=_BOUNDARY_HELP)
     p.add_argument("--quiddity", required=True, help="comma-separated scalars")
     add_output(p)

@@ -26,12 +26,14 @@ p C(a, b) != det(u_a, u_b), which is the relation of (1, 2, a, b) failing.
   the suspect pairs and antisymmetric.  Times p**2, a relation of i < j <
   k < l expands into the Plücker identity, which vanishes, plus terms that
   each hold a factor R on a pair of {i, j, k, l}.  So a failing quadruple
-  contains a suspect pair of every pivot edge, and checking the
-  quadruples that do finds every failure.
+  contains a suspect pair of every pivot edge: the quadruples through
+  the suspect pairs of any one pivot edge hold every failure.
 
 The cost is O(m**2) on a valid table: the suspect pairs of the edge (1, 2)
-alone.  A failure's report is the very one a full scan gives: the same
-quadruples, in lexicographic order, with the same details.
+alone.  Otherwise only the failures are kept from the quadruples drawn
+through the smallest of three suspect sets, and the report is the very one
+a full scan gives: the same quadruples, in lexicographic order, with the
+same details.
 """
 
 from __future__ import annotations
@@ -64,33 +66,29 @@ def _suspect_pairs(c: list[list[int]], m: int, r: int) -> set[tuple[int, int]]:
 
 
 def _suspect_quadruples(c: list[list[int]], m: int):
-    """The sorted quadruples that hold a suspect pair of each of three pivot edges.
+    """The quadruples to compare, in order: every failing one is among them.
 
     The pivots (r, r+1) start at r = 1, 1 + m//3 and 1 + 2m//3, pairwise
-    disjoint for m >= 6.  The quadruples are drawn from the smallest
-    suspect set and kept when they meet the other two, so one corrupted
-    entry, which misses at least one pivot edge, costs O(m**2).  A drawn
-    pair that lies in both other sets keeps all its quadruples untested,
-    since each of them holds it.  When drawing would cost more than the
-    full scan, every quadruple is scanned.
+    disjoint for m >= 6.  Each quadruple through a pair of the smallest
+    suspect set is compared as it is drawn and kept only if it fails, so
+    one corrupted entry, which misses at least one pivot edge, costs
+    O(m**2).  When drawing would cost more than the full scan, every
+    quadruple is scanned instead, streamed in order.
     """
     first = _suspect_pairs(c, m, 1)
     if not first:
         return ()
-    few, *rest = sorted([first, *(_suspect_pairs(c, m, 1 + n * m // 3) for n in (1, 2))],
-                        key=len)
+    few = min(first, *(_suspect_pairs(c, m, 1 + n * m // 3) for n in (1, 2)), key=len)
     if len(few) * comb(m - 2, 2) >= comb(m, 4):
         return combinations(range(1, m + 1), 4)
-    quads = set()
+    bad = set()
     for a, b in few:
-        through = (tuple(sorted((a, b, x, y))) for x, y in
-                   combinations([v for v in range(1, m + 1) if v != a and v != b], 2))
-        if all((a, b) in pairs for pairs in rest):
-            quads.update(through)
-        else:
-            quads.update(quad for quad in through
-                         if all(not pairs.isdisjoint(combinations(quad, 2)) for pairs in rest))
-    return sorted(quads)
+        for x, y in combinations([v for v in range(1, m + 1) if v != a and v != b], 2):
+            i, j, k, l = sorted((a, b, x, y))
+            ci, cj = c[i], c[j]
+            if ci[k] * cj[l] != ci[l] * cj[k] + ci[j] * c[k][l]:
+                bad.add((i, j, k, l))
+    return sorted(bad)
 
 
 def verify_all_ptolemy(f: FriezeMap) -> ValidationReport:
@@ -98,7 +96,7 @@ def verify_all_ptolemy(f: FriezeMap) -> ValidationReport:
 
     The checks read the map's cleared symmetric vertex table, zero on the
     diagonal, as ints; a failure's detail divides both sides back by L**2.
-    Only the quadruples holding a suspect pair are compared (see the module
+    Only the quadruples through suspect pairs are compared (see the module
     docstring).  The report lists all failures in lexicographic order,
     which keeps mutation-style tests deterministic.
     """

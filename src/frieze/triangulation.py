@@ -296,11 +296,10 @@ def accordion(a: int, b: int) -> tuple[Triangulation, int]:
         raise ValueError(f"accordion needs coprime labels, got gcd({a}, {b}) = "
                          f"{gcd(a, b)}")
     _check_size(_accordion_size(a, b), f"accordion({a}, {b})")
-    triangle = Triangulation(3, [])
     if a == 0:
-        return triangle, 1
+        return Triangulation(3, []), 1
     if b == 0:
-        return triangle, 3
+        return Triangulation(3, []), 3
     t = _accordion_triangulation(max(a, b), min(a, b))
     for mirrored in (False, True):
         if mirrored:  # built only when the direct construction misplaces the labels

@@ -129,6 +129,9 @@ CASES = [
     # the SVG size cap: the largest polygon drawn and the smallest refused
     (["render", "-", "--format", "svg"], fan(64)),
     (["render", "-", "--format", "svg"], fan(65)),
+    # the table cap on build: the fan's frieze one boundary entry above it
+    (["build", "--boundary", ",".join(["1"] * 2001),
+      "--quiddity", ",".join(map(str, [1999, 1, *[2] * 1998, 1]))], None),
     # rational maps: one wrong entry each, an all-ones map, cut, render and build
     (["validate", "-"], gauged_fan(6, W6)),
     (["validate", "-"], gauged_fan(6, W6, {"2,5": "7/2"})),

@@ -631,40 +631,48 @@ def fan(m):
 TABLE_COMMANDS = (["from-triangulation", "-"], ["render", "-", "--format", "ascii"])
 
 
+def build_fan(m):
+    """``build`` argv of the fan's frieze: unit boundary, quiddity (m - 2, 1, 2, ..., 2, 1)."""
+    return ["build", "--boundary", ",".join(["1"] * m),
+            "--quiddity", ",".join(map(str, [m - 2, 1, *[2] * (m - 3), 1]))]
+
+
 def test_table_cap_refuses_a_20000_vertex_fan_at_once():
     """A 20,000-vertex fan is a small document with a 4e8-entry frieze: both
-    commands exit 1 at once, under a 1 GiB address-space limit."""
-    text = json.dumps(fan(20_000))
-    for argv in TABLE_COMMANDS:
+    commands exit 1 at once, under a 1 GiB address-space limit.  So does
+    ``build`` of the 2001-vertex fan's boundary and quiddity, one above the cap."""
+    doc = json.dumps(fan(20_000))
+    cases = [(argv, doc, 20_000) for argv in TABLE_COMMANDS] + [(build_fan(2001), None, 2001)]
+    for argv, text, m in cases:
         start = time.perf_counter()
         done = run_frieze(argv, input=text, stdout=subprocess.PIPE,
                           preexec_fn=_address_space_1gib)
-        assert time.perf_counter() - start < 1, argv
-        assert done.returncode == 1 and done.stdout == "", argv
+        assert time.perf_counter() - start < 1, argv[0]
+        assert done.returncode == 1 and done.stdout == "", argv[0]
         assert done.stderr.splitlines() == [json.dumps({
-            "error": "validation", "message": "the frieze of a 20000-gon is above the limit "
+            "error": "validation", "message": f"the frieze of a {m}-gon is above the limit "
                                               "of MAX_TABLE_VERTICES = 2000 vertices"})]
 
 
 def test_table_cap_is_read_at_call_time(monkeypatch):
     """At the cap the output is the uncapped one; one vertex above, exit 1.
     The library builds the frieze whatever the cap."""
-    docs = {m: json.dumps(fan(m)) for m in (12, 13)}
-    uncapped = {(m, argv[0]): run_in_process(argv, docs[m])
-                for m in docs for argv in TABLE_COMMANDS}
+    calls = {m: [(argv, json.dumps(fan(m))) for argv in TABLE_COMMANDS] + [(build_fan(m), "")]
+             for m in (12, 13)}
+    uncapped = {m: [run_in_process(*call) for call in calls[m]] for m in calls}
     monkeypatch.setattr(frieze.triangulation, "MAX_TABLE_VERTICES", 12)
-    for argv in TABLE_COMMANDS:
-        assert run_in_process(argv, docs[12]) == uncapped[12, argv[0]]
-        assert uncapped[12, argv[0]][0] == uncapped[13, argv[0]][0] == 0
-        code, out, err = run_in_process(argv, docs[13])
-        assert (code, out) == (1, "")
+    assert [run_in_process(*call) for call in calls[12]] == uncapped[12]
+    for call, before, after in zip(calls[13], uncapped[12], uncapped[13]):
+        assert before[0] == after[0] == 0
+        code, out, err = run_in_process(*call)
+        assert (code, out) == (1, ""), call[0]
         assert json.loads(err)["message"] == ("the frieze of a 13-gon is above the limit "
                                               "of MAX_TABLE_VERTICES = 12 vertices")
     assert frieze_from_triangulation(Triangulation(13, fan(13)["diagonals"])).m == 13
 
 
 def test_help_names_the_table_cap(capsys):
-    for command in ("from-triangulation", "render"):
+    for command in ("from-triangulation", "render", "build"):
         code, out, _ = run(capsys, command, "--help")
         assert code == 0 and "MAX_TABLE_VERTICES = 2000 vertices" in " ".join(out.split())
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -8,6 +9,7 @@ import validator_oracles as oracle
 from frieze import (FriezeMap, Triangulation, build_pattern, frieze_from_triangulation,
                     grid_from_polygon, ptolemy_holds, scale, to_polygon,
                     validate_local, validate_tame, verify_all_ptolemy)
+from frieze.ptolemy import _suspect_quadruples
 from frieze.triangulation import enumerate_triangulations
 
 
@@ -132,27 +134,44 @@ def test_ptolemy_on_the_m400_fan():
         tuple(sorted((2, 134, x, y))) for x, y in combinations(rest, 2))
 
 
-def test_drawn_quadruples_match_the_full_scan():
-    """The drawn quadruples report what the full C(m, 4) scan reports.
-
-    Each pair of a gauged random 12-gon frieze is moved in turn.  The pivot
-    edges are (1, 2), (5, 6) and (9, 10).  A pair off all three, such as
-    (3, 7), is the lone suspect pair of each edge, so every quadruple through
-    it is kept untested.  A pair on a pivot vertex, such as (2, 7), is not a
-    suspect pair of its own edge, so its quadruples are tested one by one.
-    Random pairs of moved entries follow.
-    """
-    rng = random.Random(24)
-    m = 12
+def _gauged_random_frieze(rng, m):
+    """The entries of a random triangulation's frieze, rescaled by random weights."""
     tri = frieze_from_triangulation(Triangulation(m, _random_triangulation_diagonals(rng, m)))
     weights = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(m + 1)]
-    entries = {(p, q): v * weights[p] * weights[q] for (p, q), v in tri.pairs()}
-    moves = [[pair] for pair in entries] + [rng.sample(sorted(entries), 2) for _ in range(40)]
+    return {(p, q): v * weights[p] * weights[q] for (p, q), v in tri.pairs()}
+
+
+def test_drawn_quadruples_match_the_full_scan():
+    """Every report equals the full C(m, 4) scan of the oracle.
+
+    The pivot edges of a 12-gon are (1, 2), (5, 6) and (9, 10), those of a
+    20-gon (1, 2), (7, 8) and (14, 15).  Each pair of a gauged random 12-gon
+    frieze is moved in turn: a pair off all three edges, such as (3, 7), is
+    the lone suspect pair of each, and a pair on a pivot vertex, such as
+    (2, 7), is the lone one of the other two edges.  Random pairs of moved
+    entries follow.  Moves on a vertex of every pivot edge give each
+    suspect set about m pairs, and the quadruples are still drawn from one
+    of them.  An all-ones table makes every pair suspect and takes the full
+    scan.
+    """
+    rng = random.Random(24)
+    entries = {12: _gauged_random_frieze(rng, 12)}
+    moves = [[pair] for pair in entries[12]]
+    moves += [rng.sample(sorted(entries[12]), 2) for _ in range(40)]
+    entries[20] = _gauged_random_frieze(rng, 20)
     assert [(3, 7)] in moves and [(2, 7)] in moves
-    for pairs in moves:
-        moved = dict(entries)
+    on_every_pivot = [(12, [(1, 7), (5, 7), (7, 9)]), (20, [(1, 10), (7, 17), (4, 14)]),
+                      (20, [(1, 11), (7, 11), (11, 14)])]
+    for m, pairs in [(12, pairs) for pairs in moves] + on_every_pivot:
+        moved = dict(entries[m])
         for pair in pairs:
             moved[pair] += 1
         f = FriezeMap(m, moved)
         report = verify_all_ptolemy(f)
         assert not report.ok and report == oracle.verify_all_ptolemy(f), pairs
+        if (m, pairs) in on_every_pivot:
+            assert type(_suspect_quadruples(f._ints[1], m)) is list, pairs
+    ones = FriezeMap(12, {pair: 1 for pair in combinations(range(1, 13), 2)})
+    assert type(_suspect_quadruples(ones._ints[1], 12)) is combinations
+    report = verify_all_ptolemy(ones)
+    assert len(report.violations) == comb(12, 4) and report == oracle.verify_all_ptolemy(ones)
