@@ -10,15 +10,12 @@ effective search.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import count
 from math import gcd
 
 #: Exact rational scalar used for all frieze entries.
 Scalar = Fraction
-
-_SCALAR_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
 
 
 def as_scalar(value: int | str | Fraction) -> Fraction:
@@ -38,14 +35,12 @@ def as_scalar(value: int | str | Fraction) -> Fraction:
 
 
 def _ratio(text: str) -> tuple[int, int]:
-    """Parse ``"p"`` or ``"p/q"`` into (n, e) in lowest terms with e > 0, rejecting q = 0."""
-    numerator, slash, denominator = text.partition("/")
+    """Parse ``"p"`` or ``"p/q"``, stripped of whitespace around it, into (n, e) in
+    lowest terms with e > 0; only p is signed, digits are ``str.isdecimal``, q = 0 is refused."""
+    numerator, slash, denominator = text.strip().partition("/")
     digits = numerator[1:] if numerator[:1] in ("+", "-") else numerator
-    if not digits.isdecimal() or slash and not denominator.isdecimal():  # \d is isdecimal
-        match = _SCALAR_RE.fullmatch(text.strip())  # the pattern decides the rest
-        if match is None:
-            raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
-        numerator, denominator = match.groups()
+    if not digits.isdecimal() or slash and not denominator.isdecimal():
+        raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
     e = int(denominator or 1)
     if e == 0:
         raise ValueError(f"malformed rational {text!r}: zero denominator")

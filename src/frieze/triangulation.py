@@ -107,13 +107,9 @@ class Triangulation:
         return tuple(faces)
 
     def reflected(self) -> Triangulation:
-        """Mirror image under the reflection fixing vertex 1 (v -> m + 2 - v)."""
+        """Mirror image under the reflection v -> (1 - v) mod m + 1 (= m + 2 - v, fixing 1)."""
         m = self.m
-
-        def mirror(v: int) -> int:
-            return 1 if v == 1 else m + 2 - v
-
-        return Triangulation(m, [(mirror(p), mirror(q)) for p, q in self.diagonals])
+        return Triangulation(m, [((1 - p) % m + 1, (1 - q) % m + 1) for p, q in self.diagonals])
 
     def sort_key(self):
         return (self.m, tuple(sorted(self.diagonals)))
@@ -272,12 +268,7 @@ def _accordion_triangulation(a: int, b: int) -> Triangulation:
             right_end += q
             anchor = right_end
     m = right_end - left_end + 1
-
-    def renumber(v: int) -> int:
-        return (v - 1) % m + 1
-
-    diagonals = [(renumber(x), renumber(y)) for x, y in arcs[:-1]]
-    return Triangulation(m, diagonals)
+    return Triangulation(m, [((x - 1) % m + 1, (y - 1) % m + 1) for x, y in arcs[:-1]])
 
 
 def accordion(a: int, b: int) -> tuple[Triangulation, int]:
@@ -321,44 +312,30 @@ def glue_three(
     Each mark is an ordered boundary edge (s, t) with t = s + 1 cyclically;
     walking piece 1 from s1 the long way to t1, then piece 2 from s2 = t1,
     then piece 3 from s3 = t2 (with t3 = s1) traces the boundary of the
-    glued (m1 + m2 + m3 - 3)-gon.  The three marked edges become diagonals
-    bounding a central triangle whose sides all carry frieze value 1.
+    glued M-gon, M = m1 + m2 + m3 - 3: step pos (0 <= pos < m_r) of piece
+    r's walk, its vertex (s_r - pos - 1) mod m_r + 1, is numbered
+    (offset_r + pos) mod M + 1, where offset_1 = 0 and each offset grows by
+    m_r - 1.  The marked edges become the diagonals (1, m1), (m1, m1 + m2 - 1)
+    and (1, m1 + m2 - 1), a central triangle whose sides all carry 1.
 
     Returns the glued triangulation together with one vertex map per piece,
-    so callers can locate specific vertices afterwards.
+    keyed in walk order, so callers can locate specific vertices afterwards.
     """
-    pieces = [(t1, edge1), (t2, edge2), (t3, edge3)]
-    paths = []
+    pieces = ((t1, edge1), (t2, edge2), (t3, edge3))
     for t, (s, e) in pieces:
         if not (1 <= s <= t.m and e == s % t.m + 1):
             raise ValueError(f"mark ({s}, {e}) is not an oriented edge of an "
                              f"{t.m}-gon")
-        path = [s]
-        v = s
-        while v != e:
-            v = v - 1 if v > 1 else t.m
-            path.append(v)
-        paths.append(path)
-    m1, m2, m3 = (t.m for t, _ in pieces)
-    total = m1 + m2 + m3 - 3
-    shared = (1, m1, m1 + m2 - 1)  # glued numbers of s1=t3, t1=s2, t2=s3
-    maps: list[dict[int, int]] = []
-    offsets = (0, m1 - 1, m1 + m2 - 2)
-    for index, path in enumerate(paths):
-        vmap = {}
-        for pos, vertex in enumerate(path):
-            number = offsets[index] + pos + 1
-            vmap[vertex] = 1 if number == total + 1 else number
-        maps.append(vmap)
-    diagonals = []
-    for (t, _), vmap in zip(pieces, maps):
+    m1, m2 = t1.m, t2.m
+    total = m1 + m2 + t3.m - 3
+    maps, diagonals, offset = [], [], 0
+    for t, (s, _) in pieces:
+        vmap = {(s - pos - 1) % t.m + 1: (offset + pos) % total + 1 for pos in range(t.m)}
         diagonals.extend((vmap[p], vmap[q]) for p, q in t.diagonals)
-    diagonals.extend([
-        (shared[0], shared[1]),
-        (shared[1], shared[2]),
-        (shared[0], shared[2]),
-    ])
-    return Triangulation(total, diagonals), (maps[0], maps[1], maps[2])
+        maps.append(vmap)
+        offset += t.m - 1
+    diagonals += [(1, m1), (m1, m1 + m2 - 1), (1, m1 + m2 - 1)]
+    return Triangulation(total, diagonals), tuple(maps)
 
 
 def enumerate_triangulations(m: int) -> list[Triangulation]:
@@ -396,16 +373,12 @@ def enumerate_triangulations(m: int) -> list[Triangulation]:
 def triangle_label_gcds_divide(f: FriezeMap, i: int, j: int, k: int) -> bool:
     """gcd of any two of c(i,j), c(j,k), c(i,k) divides the third.
 
-    Holds in every classic Conway-Coxeter frieze; exposed as a helper so
-    tests can sweep it over vertex triples.
+    As gcd(x, y) | z exactly when gcd(x, y) = gcd(x, y, z), that is the three
+    pairwise gcds being equal (zeros included, gcd(0, 0) = 0).  Holds in every
+    classic Conway-Coxeter frieze; exposed so tests can sweep vertex triples.
     """
     x, y, z = f.value(i, j), f.value(j, k), f.value(i, k)
     if any(v.denominator != 1 for v in (x, y, z)):
         raise ValueError("gcd divisibility is about integer friezes")
     x, y, z = x.numerator, y.numerator, z.numerator
-
-    def divides(d: int, n: int) -> bool:
-        return n % d == 0 if d != 0 else n == 0
-
-    return (divides(gcd(x, y), z) and divides(gcd(y, z), x)
-            and divides(gcd(x, z), y))
+    return gcd(x, y) == gcd(y, z) == gcd(x, z)

@@ -169,6 +169,19 @@ CASES = [
     (["render", "-", "--format", "ascii", "-o", OUT], HEX_TRI),
     (["render", "-", "--format", "svg", "--mark", "2,4,7", "-o", OUT], gauged_fan(7, W7)),
     (["render", "-", "--format", "svg", "-o", OUT], ACCORDION_21_13),
+    # accordions built through the mirror (13 8, and 2 7 with a < b) and
+    # directly (8 13), and the bare triangle's three unit pairs
+    (["accordion", "13", "8"], None),
+    (["accordion", "8", "13"], None),
+    (["accordion", "2", "7"], None),
+    (["accordion", "1", "0"], None),
+    (["accordion", "0", "1"], None),
+    (["accordion", "1", "1"], None),
+    # triangles refused by their 2-valuations (2 2 2) and by their gcds
+    # (1 2 4), and one admitted
+    (["classify-triangle", "2", "2", "2"], None),
+    (["classify-triangle", "1", "2", "4"], None),
+    (["classify-triangle", "3", "5", "7"], None),
 ]
 
 

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -44,6 +45,49 @@ scalar_texts = st.one_of(
               st.text(st.sampled_from("0123456789_\u0663"), min_size=1, max_size=5),
               st.sampled_from(["0", "00", "\u0660", "0_0", "7", "07", "-3"]),
               st.sampled_from(["", " ", "\n", "x"])))
+
+
+_RATIO_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?")
+
+
+def ratio_by_regex(text):
+    """``scalars._ratio`` as it was with two paths: the sign and ``isdecimal``
+    test on the text as given, and a regex on the stripped text for the rest."""
+    numerator, slash, denominator = text.partition("/")
+    digits = numerator[1:] if numerator[:1] in ("+", "-") else numerator
+    if not digits.isdecimal() or slash and not denominator.isdecimal():
+        match = _RATIO_RE.fullmatch(text.strip())
+        if match is None:
+            raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
+        numerator, denominator = match.groups()
+    e = int(denominator or 1)
+    if e == 0:
+        raise ValueError(f"malformed rational {text!r}: zero denominator")
+    n = int(numerator)
+    g = gcd(n, e)
+    return n // g, e // g
+
+
+#: ASCII and Arabic-Indic digits, a superscript, signs, the slash,
+#: whitespace, separators and letters
+RATIO_ALPHABET = " \t\n+-/_.0123456789\u0660\u0663\u0669\u00b2ax"
+
+
+@given(st.one_of(
+    st.text(st.sampled_from(RATIO_ALPHABET), max_size=8),
+    st.builds("{}{}{}{}{}".format, st.text(st.sampled_from(" \t\n"), max_size=2),
+              st.sampled_from(["", "+", "-", "+-"]),
+              st.text(st.sampled_from("0127\u0660\u0663\u00b2_"), min_size=1, max_size=4),
+              st.sampled_from(["", "/0", "/4", "/\u0663", "/06", "/", "/-2", "/x"]),
+              st.text(st.sampled_from(" \t\n"), max_size=2))))
+@example(" 12 ")
+@example("\t-6/4\n")
+@example(" 3/0 ")
+@example("\u0663/\u0660")
+@example("\u00b2")
+@example(" ")
+def test_ratio_matches_the_regex_form(text):
+    assert _outcome(scalars._ratio, text) == _outcome(ratio_by_regex, text)
 
 
 def prime_factors_oracle(n):

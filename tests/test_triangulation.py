@@ -3,7 +3,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, gcd
 
 import pytest
@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 import frieze.triangulation
 from frieze import (FriezeMap, Triangulation, accordion, cc_labels_from, cut_subpolygon,
                     enumerate_triangulations, frieze_from_triangulation,
-                    glue_three, realize_triangle, triangle_label_gcds_divide,
+                    glue_three, realize_triangle, scale, triangle_label_gcds_divide,
                     triangulation_from_json, triangulation_to_json,
                     verify_all_ptolemy)
 from table_checks import assert_same_table
-from triangulation_oracles import REALIZE_LADDER, walk_table_frieze
+from triangulation_oracles import (REALIZE_LADDER, gcds_divide_by_divides, glue_three_by_walks,
+                                   reflected_by_mirror, walk_table_frieze)
 
 
 def catalan(n):
@@ -372,12 +373,42 @@ def test_glue_three_marked_edges_become_unit_central_triangle():
     assert f.value(a, b) == f.value(b, c) == f.value(a, c) == 1
 
 
+def _glued(glue, *args):
+    """The glued triangulation and each vertex map as its item list (key order counts),
+    or the error's type and message."""
+    try:
+        glued, maps = glue(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return glued, [list(vmap.items()) for vmap in maps]
+
+
 def test_glue_three_rejects_malformed_marks():
     t3 = Triangulation(3, [])
     with pytest.raises(ValueError):
         glue_three(t3, (1, 3), t3, (1, 2), t3, (1, 2))
     with pytest.raises(ValueError):
         glue_three(t3, (2, 1), t3, (1, 2), t3, (1, 2))
+    # every mark is checked before gluing, with the walking oracle's message
+    t5 = Triangulation(5, [(1, 3), (1, 4)])
+    for marks in [((1, 3), (1, 2), (2, 3)), ((1, 2), (5, 1), (3, 2)),
+                  ((1, 2), (2, 3), (4, 5)), ((0, 1), (9, 1), (2, 1))]:
+        args = [t3, marks[0], t5, marks[1], t3, marks[2]]
+        outcome = _glued(glue_three, *args)
+        assert outcome[0] is ValueError
+        assert outcome == _glued(glue_three_by_walks, *args)
+
+
+def test_glue_three_matches_the_boundary_walks():
+    rng = random.Random(2028)
+    pool = {m: enumerate_triangulations(m) for m in range(3, 10)}
+    for _ in range(3000):
+        args = []
+        for _ in range(3):
+            t = rng.choice(pool[rng.randrange(3, 10)])
+            s = rng.randrange(1, t.m + 1)
+            args += [t, (s, s % t.m + 1)]
+        assert _glued(glue_three, *args) == _glued(glue_three_by_walks, *args), args
 
 
 def test_enumerate_triangulations_counts():
@@ -405,6 +436,26 @@ def test_gcd_lemma_small():
                 assert gcd(x.numerator, y.numerator) \
                     == gcd(y.numerator, z.numerator) \
                     == gcd(x.numerator, z.numerator)
+
+
+def test_gcds_divide_matches_the_divisibility_tests():
+    """Every vertex triple of every classic frieze with m <= 8, and of its
+    rescalings by -1 and 2.  The three labels of (i, j, k) are the same set
+    in any order, so one triple per multiset suffices; a repeated vertex
+    gives a zero label."""
+    for m in range(3, 9):
+        for tri in enumerate_triangulations(m):
+            f = frieze_from_triangulation(tri)
+            for g in (f, scale(f, -1), scale(f, 2)):
+                for i, j, k in combinations_with_replacement(range(1, m + 1), 3):
+                    assert triangle_label_gcds_divide(g, i, j, k) \
+                        == gcds_divide_by_divides(g, i, j, k), (tri, g, i, j, k)
+
+
+def test_reflected_matches_the_branching_mirror():
+    for m in range(3, 11):
+        for tri in enumerate_triangulations(m):
+            assert tri.reflected() == reflected_by_mirror(tri)
 
 
 def test_reflection_preserves_validity(hexagon_fan):
