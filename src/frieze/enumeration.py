@@ -21,25 +21,23 @@ branch is pruned.  A leaf stays an int table.  The leaves are sorted on
 those ints, negated when z < 0 since dividing by a negative z reverses the
 order, and only then folded into their polygon maps.
 
-Five facts pin or thin the quiddity instead of trying every candidate:
+Four facts pin or thin the quiddity instead of trying every candidate:
 
-* Glide pins.  Every frieze has c(i, j) = c(j, i + m), so an entry whose
-  mirror is already filled must equal it.  The closing zero
-  c(i, i + m) = c(i, i) is the simplest such pin.
 * Solved levels.  Fixing q[level] appends c(i, level + 2) to the rows
-  that reached column level + 1.  When one of these entries has a filled
-  mirror t, the row step (q y - d x) / e = t gives q = (e t + d x) / y by
-  one exact division.  With this fill order that happens at the last three
-  levels: m - 3 is pinned by row 0's mirror t = d[m-1], m - 2 and m - 1 by
-  the closing zeros of rows 0 and 1.
+  that reached column level + 1.  Every frieze closes its rows:
+  c(i, i + m - 1) = d[i-1] and c(i, i + m) = 0.  When the new entry of a
+  row is one of these closing values t, the row step (q y - d x) / e = t
+  gives q = (e t + d x) / y by one exact division.  With this fill order
+  that happens at the last three levels: m - 3 gives c(0, m-1) = d[m-1],
+  m - 2 gives c(0, m) = 0 and m - 1 gives c(1, m+1) = 0.
 * Divisors at level L = m - 4.  Let a = c(0, L+1) and b = c(0, L).  The
   value q = q[L] appends y = c(0, L+2) = (q a - d[L+1] b) / d[L], and
   level L + 1 then solves q[L+1] y = N with N = d[L+1] d[m-1] + d[L+2] a
-  from row 0's mirror, and N does not depend on q.  So y runs over the divisors of N with y and
-  N / y in the domain, and q = (y d[L] + d[L+1] b) / a is kept when it is
-  an int inside the candidate range.  N = 0 leaves no q.  The divisors
-  come from trial division up to sqrt(|N|), and |N| is bounded by entries
-  already built.
+  from c(0, m-1) = d[m-1], and N does not depend on q.  So y runs over
+  the divisors of N with y and N / y in the domain, and
+  q = (y d[L] + d[L+1] b) / a is kept when it is an int inside the
+  candidate range.  N = 0 leaves no q.  The divisors come from the prime
+  factors of N, and |N| is bounded by entries already built.
 * A window at level m - 5.  By the glide y = c(0, m-2) = c(m-2, m) is the
   quiddity entry q[m-2], and N / y = q[m-3], so both have modulus at most
   top and |N| <= top^2.  With a = c(0, m-3) that gives
@@ -62,22 +60,28 @@ Five facts pin or thin the quiddity instead of trying every candidate:
 
 A node is still one quiddity value tried; the levels just try fewer.
 
-The pins also make every completed table a frieze, so a leaf is folded
+Row i grows through c(i, i + m - 1), an int member at each step.  The
+solved values alone make every such table a frieze, so a leaf is folded
 into its polygon map with no further check:
 
-* Glide.  c(a, b) -> c(b, a + m) is an involution (apply it twice and
-  periodicity gives c(a, b) back) without fixed points, so the entries
-  fall into mirror pairs.  Each pair is compared when the later of its
-  two entries is filled; the seeds c(i, i) and c(i, i + 1) are mirrored
-  by the pinned c(i, i + m) and c(i + 1, i + m).
 * Closure.  Let T_i be the product of the m row-step factors
   k = i .. i + m - 1.  Row i walks the window (c(i, i - 1), c(i, i)) =
-  -d_{i-1} e1 through T_i to (c(i, i + m - 1), c(i, i + m)), which the pins
-  fix at (d_{i-1}, 0) = d_{i-1} e1.  So the row vector e1 is a -1
-  eigenvector of every T_i.  T_{i+1} is T_i conjugated by its first factor
-  mu(q_{i-1}, d_i, d_{i-1}), which turns the eigenvector e1 of T_{i+1} into
-  a second one of T_i, (q_{i-1} / d_i, 1), independent of e1.  A 2x2
-  matrix with two independent -1 eigenvectors is -Id.
+  -d_{i-1} e1 through T_i to (c(i, i + m - 1), c(i, i + m)).  The solved
+  levels fix row 0's end window at (d_{m-1}, 0) = d_{m-1} e1, so e1 is a
+  -1 eigenvector of T_0, and c(1, m + 1) = 0 makes e1 an eigenvector of
+  T_1.  T_1 is T_0 conjugated by its first factor mu(q_{m-1}, d_0, d_{m-1}),
+  which turns the eigenvector e1 of T_1 into a second one of T_0,
+  (q_{m-1} / d_0, 1), independent of e1.  The factor k has determinant
+  d_k / d_{k-1}, and these telescope over a period, so det T_0 = 1 and the
+  second eigenvalue is -1 too.  A 2x2 matrix with two independent -1
+  eigenvectors is -Id.  Every T_i is a conjugate of T_0, so every
+  T_i = -Id and every row closes: its end window is d_{i-1} e1.
+* Glide.  Split T_i = -Id at column j into A, the factors that take row i
+  to its window at column j, and the rest, which are then -A^-1.  Row i
+  reads (c(i, j-1), c(i, j)) = -d_{i-1} e1 A, and row j walks -d_{j-1} e1
+  through -A^-1 = -adj(A) d_{i-1} / d_{j-1} to (c(j, i+m-1), c(j, i+m)).
+  The adjugate swaps the diagonal of A and negates the rest, so
+  c(j, i + m) = c(i, j), the glide that ``_fold`` turns the rows by.
 
 ``max_nodes`` caps the quiddity values tried; past it the search raises
 :class:`EnumerationBudgetExceeded`, a ``ValueError``.  The CLI passes
@@ -208,11 +212,10 @@ def enumerate_friezes(boundary: Sequence, domain: DomainSpec,
     # the window at level m - 5 (module docstring): |q c(0, m-4) - d[m-4] c(0, m-5)| <= width
     width = abs(dz[m - 5]) * ((top * top + abs(dz[m - 3] * dz[m - 1])) // abs(dz[m - 2]))
 
-    # rows[i] holds c(i, i..i+last); extension to column j+1 consumes the
-    # quiddity entry q[(j-1) mod m], starting with q[i], so progress is
-    # gated on how much of the quiddity is fixed and rows i > level wait.
-    # The glide mirror c(j+1, i+m) of that entry is rows[(j+1) mod m][i+m-j-1]
-    # once that row is long enough.
+    # rows[i] holds c(i, i..i+last), up to c(i, i+m-1); extension to column
+    # j+1 consumes the quiddity entry q[(j-1) mod m], starting with q[i], so
+    # progress is gated on how much of the quiddity is fixed and rows
+    # i > level wait.
     rows = [[0, x] for x in dz]
     quiddity = [0] * m
     leaves: list[list[list[int]]] = []
@@ -224,32 +227,24 @@ def enumerate_friezes(boundary: Sequence, domain: DomainSpec,
         for i in range(level + 1):
             row = rows[i]
             j = i + len(row) - 1  # last filled column
-            while j < i + m and (h := (j - 1) % m) <= level:
+            while j < i + m - 1 and (h := (j - 1) % m) <= level:
                 nxt, rest = divmod(quiddity[h] * row[-1] - dz[j % m] * row[-2], dz[h])
-                if rest:  # every mirror and every member is an int
-                    return False
-                mirror, offset = rows[(j + 1) % m], i + m - j - 1
-                if offset < len(mirror):  # offset 0 is the closing zero c(i, i+m)
-                    if nxt != mirror[offset]:
-                        return False
-                elif not member(nxt):
+                if rest or not member(nxt):
                     return False
                 row.append(nxt)
                 j += 1
         return True
 
     def solved(level: int) -> list[int]:
-        """q[level] for level > m - 4, solved from an entry it yields whose mirror is known.
+        """q[level] for level > m - 4, solved from the closing value t it yields.
 
-        Level m - 3 is pinned by row 0's mirror d[m-1], level m - 2 by row
-        0's closing zero and level m - 1 by row 1's.
+        Level m - 3 gives t = c(0, m-1) = d[m-1], level m - 2 the closing
+        zero t = c(0, m) and level m - 1 the closing zero t = c(1, m+1).
         """
-        i = 0 if level < m - 1 else 1
-        row = rows[i]
-        j = i + len(row) - 1
-        t = rows[(j + 1) % m][i + m - j - 1]
-        # the row step (q y - d[j] x) / d[j-1] = t, solved for q
-        q, rest = divmod(dz[(j - 1) % m] * t + dz[j % m] * row[-2], row[-1])
+        x, y = rows[0 if level < m - 1 else 1][-2:]  # c(i, level), c(i, level + 1)
+        t = dz[m - 1] if level == m - 3 else 0
+        # the row step (q y - d[level+1] x) / d[level] = t, solved for q
+        q, rest = divmod(dz[level] * t + dz[(level + 1) % m] * x, y)
         return [q] if rest == 0 and member(q) else []
 
     def divided() -> list[int]:
@@ -311,7 +306,7 @@ def enumerate_friezes(boundary: Sequence, domain: DomainSpec,
 
     def search(level: int) -> None:
         nonlocal nodes
-        if level == m:  # a frieze by the pins: see the module docstring
+        if level == m:  # a frieze by closure: see the module docstring
             leaves.append([row[:] for row in rows])
             return
         lengths = [len(rows[i]) for i in range(level + 1)]

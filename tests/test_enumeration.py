@@ -283,12 +283,23 @@ def test_results_carry_their_cleared_table(spec, boundary):
         assert_same_table(f, FriezeMap(g.m, dict(g.pairs())))
 
 
+#: the quiddity values the search tries on each boundary over N, a node each
+LARGE_NODES = {(6, 1, 8, 6, 3): 4_918, (2, 3, 5, 7, 11): 16_181}
+
+
 @pytest.mark.parametrize("boundary, count", [((6, 1, 8, 6, 3), 31), ((2, 3, 5, 7, 11), 16)])
 def test_large_boundaries_finish_within_the_default_budget(boundary, count):
     # B is 4,672 and 16,093: trying every candidate at each looped level overruns the budget
-    found = enumerate_friezes(boundary, NAT, max_nodes=MAX_NODES)
+    nodes = LARGE_NODES[boundary]
+    assert nodes <= MAX_NODES
+    found = enumerate_friezes(boundary, NAT, max_nodes=nodes)
     assert len(found) == count
     assert all(f.boundary_sequence == boundary for f in found)
+    # the last node finds nothing, so one node fewer stops with every frieze found
+    with pytest.raises(EnumerationBudgetExceeded, match=f"^enumeration stopped at its budget "
+                       f"of {nodes - 1} nodes: {nodes - 1} quiddity values tried, "
+                       f"{count} friezes found so far$"):
+        enumerate_friezes(boundary, NAT, max_nodes=nodes - 1)
 
 
 @pytest.mark.parametrize("m, catalan", [(8, 132), (9, 429), (10, 1430),
@@ -308,8 +319,9 @@ def test_signed_unit_boundary_gives_the_triangulation_friezes():
 
 def test_pins_alone_rule_out_the_sign_flipped_pentagon():
     # the search folds every leaf without a glide or closure check, so the
-    # pins must reject the negated Conway-Coxeter quiddities: their entries
-    # are nonzero ints, and only c(i, i+m-1) = -1 != d_{i-1} gives them away
+    # solved levels must reject the negated Conway-Coxeter quiddities: their
+    # entries are nonzero ints, and only c(i, i+m-1) = -1 != d_{i-1} gives
+    # them away, which level m - 3 rules out by solving for c(0, m-1) = d_{m-1}
     flipped = (-3, -1, -2, -2, -1)
     assert closure_product([1] * 5, flipped) == Mat2.identity()
     assert all(v != 0 for row in build_pattern([1] * 5, flipped).rows for v in row[1:-1])
@@ -317,6 +329,13 @@ def test_pins_alone_rule_out_the_sign_flipped_pentagon():
     assert set(found) == {frieze_from_triangulation(t) for t in enumerate_triangulations(5)}
     assert len(found) == 5
     assert flipped not in {f.quiddity_cycle for f in found}
+
+
+def test_congruence_classes_that_never_meet_leave_no_candidate():
+    # twice a row's class of q mod d[l] misses the class the earlier rows
+    # merged into, so the Chinese remainder theorem leaves that level empty
+    boundary, domain = (1, 4, 4, 1, 1, 1, 4), parse_domain("set:1,2,4,6,8")
+    assert enumerate_friezes(boundary, domain) == [] == oracle.enumerate_friezes(boundary, domain)
 
 
 def test_non_integral_entries_are_pruned():

@@ -97,3 +97,41 @@ def test_domain_spec_constructor_errors(kwargs, message):
     with pytest.raises(ValueError) as caught:
         frieze.DomainSpec(**kwargs)
     assert str(caught.value) == message
+
+
+SPLIT_SQUARE = frieze.Triangulation(4, [(1, 3)])
+SQUARE = frieze.frieze_from_triangulation(SPLIT_SQUARE)
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda: frieze.PatternGrid([[0, 1, 0]] * 2), ValueError, "pattern needs at least 3 rows"),
+    (lambda: frieze.PatternGrid([[0, 1, 0]] * 3), ValueError, "row 0 must hold 4 entries"),
+    (lambda: frieze.PatternGrid([[0, 1, 1, 0]] * 2 + [[1, 1, 1, 0]]), ValueError,
+     "row 2 must start and end with 0"),
+    (lambda: frieze.PatternGrid([[0, 1, 1, 0], [0, 0, 1, 0], [0, 1, 1, 0]]), ValueError,
+     "boundary entry c(1, 2) is zero"),
+    (lambda: SQUARE.value(1, 5), ValueError, "vertices must lie in 1..4"),
+    (lambda: frieze.frieze_from_json({"m": 4, "entries": [["1,2", "1"]]}), ValueError,
+     "'entries' must be an object"),
+    (lambda: frieze.triangulation_from_json({"m": "4", "diagonals": []}), ValueError,
+     "'m' must be an integer"),
+    (lambda: frieze.cc_labels_from(SPLIT_SQUARE, 5), ValueError,
+     "vertex 5 outside 1..4"),
+    (lambda: frieze.cut_subpolygon(SQUARE, [0, 1, 2]), ValueError, "vertices must lie in 1..4"),
+    (lambda: frieze.triangle_label_gcds_divide(frieze.scale(SQUARE, Fraction(1, 2)), 1, 2, 3),
+     ValueError, "gcd divisibility is about integer friezes"),
+    (lambda: frieze.render_svg(SQUARE.pairs()), TypeError,
+     "render_svg draws FriezeMap or Triangulation objects"),
+    (lambda: frieze.scalars.prime_factors(0), ValueError,
+     "prime_factors expects a positive integer"),
+    (lambda: frieze.p_valuation(2, -4), ValueError, "p_valuation expects a positive integer"),
+    # delta (-1, -1, 1), then delta (2, 1, 3)
+    (lambda: list(frieze.descent_steps(frieze.CoeffTuple(1, 0, 1, 0, -1, 0))), ValueError,
+     "descent expects a componentwise positive delta"),
+    (lambda: list(frieze.descent_steps(frieze.CoeffTuple(1, 1, 1, 1, 0, 1))), ValueError,
+     "descent expects the third delta component minimal"),
+])
+def test_public_input_checks(call, kind, message):
+    with pytest.raises(kind) as caught:
+        call()
+    assert type(caught.value) is kind and str(caught.value) == message
