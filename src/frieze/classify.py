@@ -119,8 +119,6 @@ def coefficient_witness(a: int, b: int, c: int) -> tuple[int, int]:
 
 def _descent_target(t: CoeffTuple) -> tuple[int, int, int]:
     """delta(t), once t is checked to have the shape the descent expects."""
-    if not in_coefficient_set(t):
-        raise ValueError(f"{t} has a non-coprime coordinate pair")
     target = delta(t)
     if min(target) <= 0:
         raise ValueError("descent expects a componentwise positive delta")
@@ -145,39 +143,6 @@ def _completed(target: tuple[int, int, int]) -> CoeffTuple:
     return final
 
 
-def descent_steps(t: CoeffTuple) -> Iterator[CoeffTuple]:
-    """Yield the tuples visited by the iceberg descent, start and end included.
-
-    Expects a coprime-pair tuple with componentwise positive delta whose
-    third component is minimal and with a1 >= 0 (the shape produced by the
-    witness construction).  Each step applies gamma with parameter
-    ceil(a2/a1); while b2 stays negative it must strictly increase, which
-    is asserted and bounds the number of steps by |b2|.  This is the step
-    by step descent that ``iceberg_descent`` jumps through by runs.
-    """
-    target = _descent_target(t)
-    yield t
-    if min(t) >= 0:
-        return
-    if t.a1 == 0:
-        yield _completed(target)
-        return
-    current = t
-    while True:
-        s = -(-current.a2 // current.a1)  # ceil(a2 / a1)
-        nxt = gamma_t(current, s)
-        assert delta(nxt) == target
-        yield nxt
-        if nxt.a1 == 0:
-            # forces a2 = 1 and b2 = c >= 0, so the tuple is complete
-            assert min(nxt) >= 0
-            return
-        if min(nxt) >= 0:
-            return
-        assert 0 > nxt.b2 > current.b2, "descent must strictly raise b2"
-        current = nxt
-
-
 def _first_nonnegative(lines, last: int) -> int | None:
     """The least k in 1..last with u + k v >= 0 for every (u, v), or None."""
     first = 1
@@ -191,13 +156,15 @@ def _first_nonnegative(lines, last: int) -> int | None:
     return first if first <= last else None
 
 
-def iceberg_descent(t: CoeffTuple) -> CoeffTuple:
-    """Drive a witness tuple into the nonnegative orthant, delta unchanged.
+def _runs(t: CoeffTuple, target: tuple[int, int, int]) -> Iterator[tuple]:
+    """The iceberg descent from t, for t and target as ``_descent_target``
+    passes them: yield (s, k, end) for each run of k gamma steps with
+    parameter s = ceil(a2/a1) ending on ``end``, or (None, 1, end) for the
+    jump from an a1 = 0 start to ``_completed(target)``.  It stops on a
+    nonnegative tuple or a1 = 0, so a nonnegative start yields nothing.
 
-    Ends where ``descent_steps`` ends, but jumps each run of steps with
-    parameter s = 1.  The parameter ceil(a2/a1) is 1 exactly while
-    0 < a2 <= a1.  There gamma is blockwise I + N with N^2 = 0, so k steps
-    are I + kN:
+    s is 1 exactly while 0 < a2 <= a1.  There gamma is blockwise I + N
+    with N^2 = 0, so k steps are I + kN:
 
         (a1, a2) -> (a1 - k a2, a2),
         (b1, b2) -> (b1 - k S, b2 + k S) with S = b1 + b2,
@@ -206,39 +173,69 @@ def iceberg_descent(t: CoeffTuple) -> CoeffTuple:
     The run lasts K = floor(a1/a2) steps; after them a1 < a2, and a1 = 0
     when a2 divides a1.  It ends earlier at the first k whose tuple is
     nonnegative, found per coordinate by one floor division since each
-    coordinate is linear in k.  The other steps are taken one at a time.
+    coordinate is linear in k.  Any other s is a run of one step.
 
     Checking the two ends of a run checks every step of it.  The k^2 terms
     of delta cancel along a run, so each component of delta is affine in
     k, and equal at k = 0 and at the run's end it is the same at every k.
     Every step before the last one of the descent must leave b2 negative
     and larger: b2 + kS is linear, so S > 0 and b2 < 0 at the run's last
-    such step cover all of them.
+    such step cover all of them.  A start that passes ``_descent_target``
+    can fail this, or end outside the orthant: each raises ``ValueError``.
+    """
+    done = min(t) >= 0
+    while not done:
+        a1, a2, b1, b2, c1, c2 = t
+        if a1 == 0:  # at the start only: later steps stop on reaching it
+            s, k, t, done = None, 1, _completed(target), True
+        elif (s := -(-a2 // a1)) == 1:  # ceil(a2 / a1)
+            total, k = b1 + b2, a1 // a2
+            first = _first_nonnegative(((b1, -total), (b2, total), (c1, 0), (c2, c1)), k)
+            done = first is not None or a1 % a2 == 0
+            k = first or k
+            t = CoeffTuple(a1 - k * a2, a2, b1 - k * total, b2 + k * total, c1, c2 + k * c1)
+        else:
+            k, t = 1, gamma_t(t, s)
+            done = t.a1 == 0 or min(t) >= 0
+        rise = (t.b2 - b2) // k  # per step: S on a run
+        raised = k - 1 if done else k  # the steps that must leave b2 negative and larger
+        if raised and not rise > 0 > b2 + raised * rise:
+            raise ValueError("descent must strictly raise b2")
+        assert delta(t) == target
+        yield s, k, t
+    if min(t) < 0:
+        raise ValueError(f"descent ended at {tuple(t)}, outside the nonnegative orthant")
+    assert in_coefficient_set(t)
+
+
+def descent_steps(t: CoeffTuple) -> Iterator[CoeffTuple]:
+    """Yield the tuples visited by the iceberg descent, start and end included.
+
+    Expects a coprime-pair tuple with componentwise positive delta whose
+    third component is minimal and a1 >= 0, the shape the witness
+    construction produces.  Each step applies gamma with parameter
+    ceil(a2/a1), replaying the runs that ``iceberg_descent`` jumps.  While
+    b2 stays negative it must strictly increase, which bounds the number of
+    steps by |b2|, and the descent must end nonnegative, or ``ValueError``.
     """
     target = _descent_target(t)
-    final = _completed(target) if t.a1 == 0 and min(t) < 0 else t
-    done = min(final) >= 0
-    while not done:
-        a1, a2, b1, b2, c1, c2 = final
-        if 0 < a2 <= a1:  # a run of s = 1
-            total, steps = b1 + b2, a1 // a2
-            k = _first_nonnegative(((b1, -total), (b2, total), (c1, 0), (c2, c1)), steps)
-            done = k is not None or a1 % a2 == 0
-            k = k or steps
-            final = CoeffTuple(a1 - k * a2, a2, b1 - k * total, b2 + k * total, c1, c2 + k * c1)
-            raised = k - 1 if done else k  # the steps that must leave b2 negative and larger
-            if raised:
-                assert 0 > b2 + raised * total > b2 + (raised - 1) * total, \
-                    "descent must strictly raise b2"
-        else:
-            final = gamma_t(final, -(-a2 // a1))  # s = ceil(a2 / a1)
-            done = final.a1 == 0 or min(final) >= 0
-            if not done:
-                assert 0 > final.b2 > b2, "descent must strictly raise b2"
-        assert delta(final) == target
-    # a1 = 0 forces a2 = 1 and b2 = c >= 0, so the tuple is complete
-    assert min(final) >= 0 and in_coefficient_set(final)
-    return final
+    yield t
+    for s, k, end in _runs(t, target):
+        for _ in range(k):
+            t = end if s is None else gamma_t(t, s)
+            yield t
+        assert t == end
+
+
+def iceberg_descent(t: CoeffTuple) -> CoeffTuple:
+    """Drive a witness tuple into the nonnegative orthant, delta unchanged.
+
+    Returns the last tuple ``descent_steps`` yields, or raises its
+    ``ValueError``, jumping each run of s = 1 steps in closed form.
+    """
+    for _, _, t in _runs(t, _descent_target(t)):
+        pass
+    return t
 
 
 def realize_triangle(a: int, b: int, c: int) -> tuple[Triangulation, tuple[int, int, int]]:

@@ -29,7 +29,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import itemgetter
 
-from .scalars import _Record, _ratio, as_scalar
+from .scalars import _Record, _ratio, _text, as_scalar
 
 
 class _ZeroEntry:
@@ -224,12 +224,6 @@ def _extended_rows(grid: PatternGrid) -> tuple[int, list[list[int]]]:
     """L and, per row i, L * c(i, i-1), ..., L * c(i, i+m+1) as ints."""
     big, table = grid._ints
     return big, [[-table[i - 1][1], *row, -row[1]] for i, row in enumerate(table)]
-
-
-def _text(x: int, den: int) -> str:
-    """``scalar_to_str(Fraction(x, den))`` for an int x and an int den > 0."""
-    g = gcd(x, den)  # x / den in lowest terms is (x / g) / (den / g)
-    return str(x // g) if g == den else f"{x // g}/{den // g}"
 
 
 def _texts(big: int, table) -> dict[int, str]:

@@ -41,7 +41,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .core import FriezeMap, ValidationReport, Violation, _text
+from .core import FriezeMap, ValidationReport, Violation
+from .scalars import _text
 
 
 def ptolemy_holds(f: FriezeMap, i: int, j: int, k: int, l: int) -> bool:

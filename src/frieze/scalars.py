@@ -54,12 +54,15 @@ def scalar_from_str(text: str) -> Fraction:
     return Fraction(*_ratio(text))
 
 
+def _text(x: int, den: int) -> str:
+    """x / den as ``"p"`` or ``"p/q"`` in lowest terms, for ints x and den > 0."""
+    g = gcd(x, den)  # x / den in lowest terms is (x / g) / (den / g)
+    return str(x // g) if g == den else f"{x // g}/{den // g}"
+
+
 def scalar_to_str(value: int | str | Fraction) -> str:
     """Format a rational as ``"p"`` (integers) or ``"p/q"`` (lowest terms)."""
-    x = as_scalar(value)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return _text(*as_scalar(value).as_integer_ratio())
 
 
 #: Miller-Rabin with the first 13 primes as bases is exact below this bound.

@@ -18,6 +18,7 @@ from frieze import (CoeffTuple, cc_labels_from, classify_triangle,
                     frieze_from_triangulation, gamma_t, iceberg_descent,
                     in_coefficient_set, realize_triangle,
                     separating_unit_triangle)
+from classify_oracles import descent_mismatches, descent_steps_oracle
 from triangulation_oracles import REALIZE_LADDER, separating_by_segments
 
 ints = st.integers(min_value=-40, max_value=40)
@@ -126,17 +127,56 @@ def test_descent_refuses_an_a1_zero_start_it_cannot_complete():
         list(descent_steps(A1_ZERO_START))
 
 
-def test_descent_refuses_an_a1_zero_start_under_optimize():
-    """The refusal is a check, not an assert, so ``python -O`` keeps it."""
-    src = Path(frieze.__file__).resolve().parent.parent
-    code = ("from frieze import CoeffTuple, iceberg_descent\n"
-            "try:\n"
-            f"    print(iceberg_descent(CoeffTuple{tuple(A1_ZERO_START)}))\n"
-            "except ValueError:\n"
-            "    print('ValueError')\n")
+#: starts that pass every input check, each with the ``ValueError`` its descent raises:
+#: the a1 = 0 start above, two that end on a1 = 0 outside the orthant, one that lowers b2
+REFUSED_STARTS = {
+    A1_ZERO_START: "an a1 = 0 start completes as (0, 1, a - c, c, 0, 1) = (0, 1, 2, 1, 0, 1), "
+                   "whose delta (3, 1, 1) is not (3, 2, 1)",
+    CoeffTuple(1, 0, -5, 6, 1, 6):
+        "descent ended at (0, 1, -6, 1, -6, 7), outside the nonnegative orthant",
+    CoeffTuple(2, -1, -2, 5, 4, 3): "descent must strictly raise b2",
+    CoeffTuple(1, -5, -5, -4, -5, -4):
+        "descent ended at (0, 1, 4, 11, 49, -9), outside the nonnegative orthant",
+}
+
+
+def _run_optimized(code):
+    """(exit code, stdout, stderr) of ``code`` in a ``python -O`` child that imports ``frieze``
+    from this checkout, and the test helpers from this directory."""
+    path = os.pathsep.join([str(Path(frieze.__file__).resolve().parent.parent),
+                            str(Path(__file__).resolve().parent)])
     done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "ValueError\n", "")
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_descent_refuses_an_a1_zero_start_under_optimize():
+    """The refusals are checks, not asserts, so ``python -O`` keeps them."""
+    for start, message in REFUSED_STARTS.items():
+        for walk in (iceberg_descent, lambda t: list(descent_steps(t))):
+            with pytest.raises(ValueError) as caught:
+                walk(start)
+            assert str(caught.value) == message
+    code = ("from frieze import CoeffTuple, iceberg_descent\n"
+            f"for start in {[tuple(start) for start in REFUSED_STARTS]}:\n"
+            "    try:\n"
+            "        print(iceberg_descent(CoeffTuple(*start)))\n"
+            "    except ValueError as error:\n"
+            "        print(error)\n")
+    expected = "".join(message + "\n" for message in REFUSED_STARTS.values())
+    assert _run_optimized(code) == (0, expected, "")
+
+
+def test_descent_matches_the_step_oracle_on_a_box():
+    """Both public descents agree with the step-by-step oracle, steps, end and
+    ``ValueError`` message alike, on the 2,111 starts with coordinates in -3..4
+    that pass the input checks; some of them reach a run with c1 < 0."""
+    assert descent_mismatches() == (2111, [])
+
+
+def test_descent_matches_the_step_oracle_on_a_box_under_optimize():
+    code = "import classify_oracles\nprint(classify_oracles.descent_mismatches())\n"
+    assert _run_optimized(code) == (0, "(2111, [])\n", "")
 
 
 def _random_admissible_triple(rng, limit=50):
@@ -204,9 +244,10 @@ def _ladder_examples(test):
 @example((28657, 46368, 75025))  # consecutive Fibonacci labels: long runs of s = 1
 @example((1000, 999, 1))
 def test_jumped_descent_matches_the_step_oracle(triple):
-    """The descent by runs ends on the last tuple the step-by-step descent visits."""
+    """The descent by runs visits and ends where the step-by-step descent does."""
     start = _realization_start(*triple)
-    assert iceberg_descent(start) == list(descent_steps(start))[-1]
+    steps = list(descent_steps_oracle(start))
+    assert list(descent_steps(start)) == steps and iceberg_descent(start) == steps[-1]
 
 
 def test_jumped_descent_matches_the_step_oracle_on_small_starts():
@@ -215,7 +256,8 @@ def test_jumped_descent_matches_the_step_oracle_on_small_starts():
     rng = random.Random(2024)
     starts = [_normalized_witness_tuple(*_random_admissible_triple(rng))[0] for _ in range(500)]
     for start in starts + [CoeffTuple(0, -1, 0, -1, 2, -3)]:
-        assert iceberg_descent(start) == list(descent_steps(start))[-1]
+        steps = list(descent_steps_oracle(start))
+        assert list(descent_steps(start)) == steps and iceberg_descent(start) == steps[-1]
     assert iceberg_descent(CoeffTuple(0, -1, 0, -1, 2, -3)) == CoeffTuple(0, 1, 2, 1, 0, 1)
 
 

@@ -101,6 +101,20 @@ def test_domain_spec_constructor_errors(kwargs, message):
 
 SPLIT_SQUARE = frieze.Triangulation(4, [(1, 3)])
 SQUARE = frieze.frieze_from_triangulation(SPLIT_SQUARE)
+#: unit edges, c(2, 4) = 1 and c(1, 3) = 0: the cut [1, 3, 4] has the zero edge (1, 3)
+ZERO_DIAGONAL = frieze.FriezeMap(4, {(1, 2): 1, (2, 3): 1, (3, 4): 1, (1, 4): 1,
+                                     (1, 3): 0, (2, 4): 1})
+
+
+def test_reprs_and_hashes_of_the_table_types():
+    grid = frieze.build_pattern([1] * 5, [1, 3, 1, 2, 2])
+    assert (repr(grid), grid.n) == ("PatternGrid(m=5, n=2)", 2)
+    assert repr(SQUARE) == "FriezeMap(m=4)"
+    assert repr(SPLIT_SQUARE) == "Triangulation(m=4, diagonals=[(1, 3)])"
+    assert repr(frieze.ZERO_ENTRY) == "ZeroEntry"
+    mat = frieze.Mat2(1, 2, 3, Fraction(8, 2))
+    assert repr(mat) == "Mat2(1, 2, 3, 4)"
+    assert hash(mat) == hash(frieze.Mat2("1", 2, 3, 4)) == hash((1, 2, 3, 4))
 
 
 @pytest.mark.parametrize("call, kind, message", [
@@ -118,6 +132,10 @@ SQUARE = frieze.frieze_from_triangulation(SPLIT_SQUARE)
     (lambda: frieze.cc_labels_from(SPLIT_SQUARE, 5), ValueError,
      "vertex 5 outside 1..4"),
     (lambda: frieze.cut_subpolygon(SQUARE, [0, 1, 2]), ValueError, "vertices must lie in 1..4"),
+    (lambda: frieze.cut_subpolygon(ZERO_DIAGONAL, [1, 3, 4]), ValueError,
+     "boundary entry at edge (1, 2) is zero"),
+    (lambda: frieze.build_pattern([1] * 4, [1] * 3), ValueError,
+     "boundary and quiddity must have the same length"),
     (lambda: frieze.triangle_label_gcds_divide(frieze.scale(SQUARE, Fraction(1, 2)), 1, 2, 3),
      ValueError, "gcd divisibility is about integer friezes"),
     (lambda: frieze.render_svg(SQUARE.pairs()), TypeError,
