@@ -20,8 +20,8 @@ from .propagation import (TAU, Mat2, build_pattern,
                           entry_via_product, eta, mu)
 from .ptolemy import ptolemy_holds, verify_all_ptolemy
 from .render import render_ascii, render_svg
-from .scalars import (DomainSpec, Scalar, as_scalar, p_valuation, parse_domain,
-                      scalar_from_str, scalar_to_str)
+from .scalars import (DomainSpec, Scalar, ValidationFailure, as_scalar, p_valuation,
+                      parse_domain, scalar_from_str, scalar_to_str)
 from .triangulation import (Triangulation, accordion, cc_labels_from,
                             cut_subpolygon, enumerate_triangulations,
                             frieze_from_triangulation, glue_three,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundData", "CoeffTuple", "DomainSpec", "EnumerationBudgetExceeded", "FriezeMap", "Mat2",
-    "PatternGrid", "Scalar", "TAU", "Triangulation", "ValidationReport",
+    "PatternGrid", "Scalar", "TAU", "Triangulation", "ValidationFailure", "ValidationReport",
     "Violation", "ZERO_ENTRY", "accordion", "as_scalar", "build_pattern",
     "cc_labels_from", "check_glide", "classify_triangle",
     "closes_to_negative_identity", "closure_product", "coefficient_witness",

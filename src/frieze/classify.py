@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from itertools import permutations
 from math import gcd
 
-from .scalars import p_valuation, prime_factors
+from .scalars import ValidationFailure, p_valuation, prime_factors
 from .triangulation import (Triangulation, _accordion_size, _check_size, accordion,
                             cc_labels_from, glue_three)
 
@@ -97,7 +97,7 @@ def coefficient_witness(a: int, b: int, c: int) -> tuple[int, int]:
     as it is found, so k is the least nonnegative parameter with them all.
     """
     if not classify_triangle(a, b, c):
-        raise ValueError(f"({a}, {b}, {c}) admits no coefficient witness")
+        raise ValidationFailure(f"({a}, {b}, {c}) admits no coefficient witness")
     d = gcd(a, b)
     ap, bp, cp = a // d, b // d, c // d
     g, u, v = _extended_gcd(ap, bp)
@@ -249,10 +249,11 @@ def realize_triangle(a: int, b: int, c: int) -> tuple[Triangulation, tuple[int, 
     vertices (i, j, k) are ordered so that (c(i,j), c(j,k), c(k,i)) equals
     (a, b, c) exactly, which is verified before returning.  The glued
     polygon has m_a + m_b + m_c - 3 vertices, known from the tuple before
-    any piece is built; above ``MAX_VERTICES`` this raises ``ValueError``.
+    any piece is built.  A label below 1 raises ``ValueError``; a triple that is
+    unrealizable, above ``MAX_VERTICES`` or past ``RHO_BUDGET`` raises ``ValidationFailure``.
     """
     if not classify_triangle(a, b, c):
-        raise ValueError(f"({a}, {b}, {c}) is not realizable")
+        raise ValidationFailure(f"({a}, {b}, {c}) is not realizable")
     triple = (a, b, c)
     order = min(permutations(range(3)), key=lambda p: (triple[p[2]], p))
     pa, pb, pc = (triple[index] for index in order)

@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 mathematical validation failure, 2 usage or
-parse error, which includes a bad or missing flag and a stdout closed by
-its reader.  Errors are reported on stderr as single-line JSON.  ``main``
-is the one place that maps errors to exit codes: commands raise a
-``ValueError``, ``_UsageError`` or ``_ValidationFailure`` and it reports.
+Exit codes: 0 success, 1 validation failure, 2 usage error.  ``main`` alone
+maps errors to them, by type: :class:`frieze.ValidationFailure`, raised where
+well-formed input fails a mathematical condition or a documented cap, exits 1;
+any other ``ValueError`` (malformed input, a bad or missing flag, a stdout
+closed by its reader) exits 2.  Errors go to stderr as single-line JSON.
 
 There is one argparse parser per process, ``_PARSER``, built when this
 module is imported; ``main`` only parses with it, so calling ``main`` many
@@ -32,7 +32,7 @@ from .enumeration import MAX_NODES, enumerate_friezes, enumeration_summary
 from .propagation import build_pattern
 from .ptolemy import verify_all_ptolemy
 from .render import render_ascii, render_svg
-from .scalars import RHO_BUDGET, parse_domain, scalar_from_str
+from .scalars import RHO_BUDGET, ValidationFailure, parse_domain, scalar_from_str
 from .triangulation import (MAX_VERTICES, Triangulation, accordion, cut_subpolygon,
                             frieze_from_triangulation, triangulation_from_json,
                             triangulation_to_json)
@@ -40,18 +40,6 @@ from .triangulation import (MAX_VERTICES, Triangulation, accordion, cut_subpolyg
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
-
-
-class _UsageError(Exception):
-    """Bad input shape: malformed scalars, JSON, flags."""
-
-
-class _ValidationFailure(Exception):
-    """Mathematically well-formed input that fails a required property."""
-
-    def __init__(self, message: str, detail=None) -> None:
-        super().__init__(message)
-        self.detail = detail
 
 
 def _fail(kind: str, message: str, detail=None) -> None:
@@ -74,7 +62,7 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        raise _UsageError(f"cannot read JSON from {path}: {exc}") from None
+        raise ValueError(f"cannot read JSON from {path}: {exc}") from None
 
 
 def _load_any(path: str):
@@ -87,7 +75,7 @@ def _load_any(path: str):
 def _emit(text: str, path: str | None) -> None:
     to_stdout = path is None or path == "-"
     if to_stdout and sys.stdout is None:  # descriptor 1 was closed at start-up
-        raise _UsageError("cannot write stdout: it is closed")
+        raise ValueError("cannot write stdout: it is closed")
     try:
         if to_stdout:
             sys.stdout.write(text)
@@ -97,8 +85,10 @@ def _emit(text: str, path: str | None) -> None:
                 handle.write(text)
     except OSError as exc:
         if to_stdout:  # so the flush at interpreter exit fails no second time
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise _UsageError(f"cannot write {'stdout' if to_stdout else path}: {exc}") from None
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        raise ValueError(f"cannot write {'stdout' if to_stdout else path}: {exc}") from None
 
 
 def _report_detail(report) -> list:
@@ -114,12 +104,12 @@ def _cmd_build(args) -> int:
     grid = build_pattern(boundary, quiddity)
     report = validate_local(grid).merged(validate_tame(grid))
     if not report.ok:
-        raise _ValidationFailure("pattern violates the frieze conditions",
-                                 _report_detail(report))
+        raise ValidationFailure("pattern violates the frieze conditions",
+                                _report_detail(report))
     try:
         f = to_polygon(grid)
-    except ValueError:  # raised by its glide check, the only one a build runs
-        raise _ValidationFailure("pattern is not glide-symmetric") from None
+    except ValidationFailure:  # raised by its glide check, the only one a build runs
+        raise ValidationFailure("pattern is not glide-symmetric") from None
     _emit(json.dumps(frieze_to_json(f), indent=2) + "\n", args.output)
     return EXIT_OK
 
@@ -131,7 +121,7 @@ def _cmd_validate(args) -> int:
               .merged(validate_tame(grid))
               .merged(verify_all_ptolemy(f)))
     if not report.ok:
-        raise _ValidationFailure("frieze fails validation", _report_detail(report))
+        raise ValidationFailure("frieze fails validation", _report_detail(report))
     _emit(json.dumps({"m": f.m, "valid": True}) + "\n", None)
     return EXIT_OK
 
@@ -139,8 +129,8 @@ def _cmd_validate(args) -> int:
 def _refuse_above(m: int, what: str, name: str, cap: int) -> None:
     """Exit 1 above a size cap, which callers read at call time so a patch takes effect."""
     if m > cap:
-        raise _ValidationFailure(f"{what} of a {m}-gon is above the limit of "
-                                 f"{name} = {cap} vertices")
+        raise ValidationFailure(f"{what} of a {m}-gon is above the limit of "
+                                f"{name} = {cap} vertices")
 
 
 def _capped_frieze(tri: Triangulation):
@@ -164,10 +154,7 @@ def _cmd_cut(args) -> int:
 
 
 def _cmd_accordion(args) -> int:
-    try:
-        tri, k = accordion(args.a, args.b)
-    except ValueError as exc:
-        raise _ValidationFailure(str(exc)) from None
+    tri, k = accordion(args.a, args.b)
     doc = {"triangulation": triangulation_to_json(tri), "k": k}
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return EXIT_OK
@@ -180,10 +167,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    try:
-        tri, vertices = realize_triangle(args.a, args.b, args.c)
-    except ValueError as exc:
-        raise _ValidationFailure(str(exc)) from None
+    tri, vertices = realize_triangle(args.a, args.b, args.c)
     doc = {"triangulation": triangulation_to_json(tri), "vertices": list(vertices)}
     _emit(json.dumps(doc, indent=2) + "\n", args.output)
     return EXIT_OK
@@ -192,10 +176,7 @@ def _cmd_realize(args) -> int:
 def _cmd_enumerate(args) -> int:
     boundary = _parse_scalars(args.boundary)
     domain = parse_domain(args.domain)
-    try:
-        results = enumerate_friezes(boundary, domain, max_nodes=args.max_nodes)
-    except ValueError as exc:
-        raise _ValidationFailure(str(exc)) from None
+    results = enumerate_friezes(boundary, domain, max_nodes=args.max_nodes)
     docs = [frieze_to_json(f) for f in results]
     docs.append(enumeration_summary(boundary, domain, results))
     _emit("".join(json.dumps(doc) + "\n" for doc in docs), None)
@@ -204,7 +185,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_render(args) -> int:
     if args.mark is not None and args.format == "ascii":
-        raise _UsageError("--mark applies only to --format svg")
+        raise ValueError("--mark applies only to --format svg")
     obj = _load_any(args.file)
     if args.format == "ascii":
         f = _capped_frieze(obj) if isinstance(obj, Triangulation) else obj
@@ -245,7 +226,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse that raises its flag errors for ``main`` to report."""
 
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -338,12 +319,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit:  # argparse exits only after printing --help
         return EXIT_OK
-    except (_UsageError, ValueError) as exc:
-        _fail("usage", str(exc))
-        return EXIT_USAGE
-    except _ValidationFailure as exc:
+    except ValidationFailure as exc:
         _fail("validation", str(exc), exc.detail)
         return EXIT_INVALID
+    except ValueError as exc:
+        _fail("usage", str(exc))
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import itemgetter
 
-from .scalars import _Record, _ratio, _text, as_scalar
+from .scalars import ValidationFailure, _Record, _ratio, _text, as_scalar
 
 
 class _ZeroEntry:
@@ -398,11 +398,11 @@ def _fold(rows, z=1) -> FriezeMap:
 def to_polygon(grid: PatternGrid) -> FriezeMap:
     """Quotient a glide-symmetric grid to its polygon map.
 
-    Raises ValueError if the grid does not satisfy the glide symmetry,
-    since the quotient would then be ill-defined.
+    Raises ``ValidationFailure`` if the grid does not satisfy the glide
+    symmetry, since the quotient would then be ill-defined.
     """
     if not check_glide(grid):
-        raise ValueError("grid is not glide-symmetric; cannot fold onto a polygon")
+        raise ValidationFailure("grid is not glide-symmetric; cannot fold onto a polygon")
     big, rows = grid._ints
     return _fold(rows, big)
 

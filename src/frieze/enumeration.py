@@ -84,7 +84,7 @@ into its polygon map with no further check:
   c(j, i + m) = c(i, j), the glide that ``_fold`` turns the rows by.
 
 ``max_nodes`` caps the quiddity values tried; past it the search raises
-:class:`EnumerationBudgetExceeded`, a ``ValueError``.  The CLI passes
+:class:`EnumerationBudgetExceeded`, a ``ValidationFailure``.  The CLI passes
 :data:`MAX_NODES` unless told otherwise.
 """
 
@@ -97,7 +97,7 @@ from itertools import chain
 from math import gcd, lcm
 
 from .core import FriezeMap, _fold
-from .scalars import DomainSpec, as_scalar, prime_factors, scalar_to_str
+from .scalars import DomainSpec, ValidationFailure, as_scalar, prime_factors, scalar_to_str
 
 
 BoundData = namedtuple("BoundData", "P M n B", module=__name__)
@@ -131,7 +131,7 @@ def quiddity_bound(boundary: Sequence, min_modulus) -> BoundData:
 MAX_NODES = 1_000_000
 
 
-class EnumerationBudgetExceeded(ValueError):
+class EnumerationBudgetExceeded(ValidationFailure):
     """The search would try more quiddity values than its ``max_nodes`` budget."""
 
 
@@ -181,7 +181,8 @@ def enumerate_friezes(boundary: Sequence, domain: DomainSpec,
     zeros are excluded even when the domain contains 0: allowing them is
     exactly what makes the count infinite.  With ``max_nodes`` set, the
     search raises :class:`EnumerationBudgetExceeded` instead of trying more
-    than that many quiddity values.
+    than that many quiddity values.  It and an entry outside the domain are
+    ``ValidationFailure``s; fewer than 3 entries or a zero one, ``ValueError``s.
     """
     d = [as_scalar(x) for x in boundary]
     if len(d) < 3:
@@ -194,7 +195,7 @@ def enumerate_friezes(boundary: Sequence, domain: DomainSpec,
         n, e = x.as_integer_ratio()
         y, rest = divmod(n * zn, e * ze)
         if rest or not member(y):
-            raise ValueError(f"boundary entry {x} lies outside the domain")
+            raise ValidationFailure(f"boundary entry {x} lies outside the domain")
         dz.append(y)
     m = len(dz)
     if m == 3:  # height 0: the boundary is the whole frieze

@@ -18,6 +18,18 @@ from math import gcd
 Scalar = Fraction
 
 
+class ValidationFailure(ValueError):
+    """Well-formed input that fails a mathematical condition or a documented cap.
+
+    Any other ``ValueError`` that ``frieze`` raises means the input is malformed.
+    ``detail``, when given, is a JSON-ready account of the failure.
+    """
+
+    def __init__(self, message: str, detail=None) -> None:
+        super().__init__(message)
+        self.detail = detail
+
+
 def as_scalar(value: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction, or ``"p/q"`` string to an exact rational."""
     kind = type(value)  # exact types first: isinstance on Fraction goes through ABCMeta
@@ -76,7 +88,7 @@ _TRIAL_LIMIT = 10**4
 #: ``prime_factors`` call.  A smallest prime factor of d digits takes about
 #: 10**(d/2) steps, so the budget splits those up to about 10**11; spending
 #: it all takes about 0.9 s in CPython 3.11 on a 2-core Xeon.  Past it
-#: ``prime_factors`` raises ``ValueError``.
+#: ``prime_factors`` raises :class:`ValidationFailure`.
 RHO_BUDGET = 1 << 21
 
 #: Pollard-Brent multiplies this many differences together per gcd.
@@ -111,15 +123,15 @@ def _brent_divisor(n: int, budget: int) -> tuple[int, int]:
 
     The walks x -> x*x + c mod n start at x = 2 with c = 1, 2, ... in turn,
     a fixed sequence, so the result does not vary between runs.  A round
-    that would take the steps spent past ``budget`` raises ``ValueError``.
+    that would take the steps spent past ``budget`` raises ``ValidationFailure``.
     """
     for c in count(1):
         y, r, product, g = 2, 1, 1, 1
         while g == 1:
             budget -= 2 * r  # r steps to move x on, at most r more in the batches
             if budget < 0:
-                raise ValueError(f"cannot factor {n} within Pollard-Brent's budget "
-                                 f"of RHO_BUDGET = {RHO_BUDGET} steps")
+                raise ValidationFailure(f"cannot factor {n} within Pollard-Brent's "
+                                        f"budget of RHO_BUDGET = {RHO_BUDGET} steps")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -165,7 +177,8 @@ def prime_factors(n: int) -> list[int]:
     whose square passes the cofactor left leaves that cofactor 1 or prime.
     A cofactor still left past the limit (so only one above its square,
     10**8) goes to ``_split_prime_factors``: Miller-Rabin keeps its prime
-    parts and Pollard-Brent splits the others, within ``RHO_BUDGET``.
+    parts and Pollard-Brent splits the others, within ``RHO_BUDGET``, or
+    raises :class:`ValidationFailure`.  An n < 1 raises ``ValueError``.
     """
     if n < 1:
         raise ValueError("prime_factors expects a positive integer")

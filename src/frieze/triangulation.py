@@ -20,9 +20,10 @@ from operator import itemgetter
 
 from .core import FriezeMap, _lowest
 from .propagation import _walk
+from .scalars import ValidationFailure
 
 #: Largest polygon :func:`accordion` and ``realize_triangle`` will build.  A
-#: request above it raises ``ValueError`` before anything is allocated.
+#: request above it raises ``ValidationFailure`` before anything is allocated.
 MAX_VERTICES = 100_000
 
 #: Largest triangulation whose classic frieze the ``from-triangulation``
@@ -239,8 +240,8 @@ def _accordion_size(a: int, b: int) -> int:
 
 def _check_size(m: int, what: str) -> None:
     if m > MAX_VERTICES:
-        raise ValueError(f"{what} needs a {m}-gon, above the limit of "
-                         f"MAX_VERTICES = {MAX_VERTICES} vertices")
+        raise ValidationFailure(f"{what} needs a {m}-gon, above the limit of "
+                                f"MAX_VERTICES = {MAX_VERTICES} vertices")
 
 
 def _accordion_triangulation(a: int, b: int) -> Triangulation:
@@ -278,14 +279,15 @@ def accordion(a: int, b: int) -> tuple[Triangulation, int]:
     c(k, k+1) = 1 and c(1, k+1) = b, with k + 1 read cyclically.  Needs
     gcd(a, b) = 1; the degenerate pairs (0, 1) and (1, 0) sit on a bare
     triangle.  When the direct construction places the two labels in the
-    wrong rotational order, its mirror image does the job.  Refuses a
-    polygon above :data:`MAX_VERTICES` vertices.
+    wrong rotational order, its mirror image does the job.  A negative
+    label raises ``ValueError``; a pair that is not coprime, or a polygon
+    above :data:`MAX_VERTICES` vertices, raises ``ValidationFailure``.
     """
     if a < 0 or b < 0:
         raise ValueError("accordion labels must be nonnegative")
     if gcd(a, b) != 1:
-        raise ValueError(f"accordion needs coprime labels, got gcd({a}, {b}) = "
-                         f"{gcd(a, b)}")
+        raise ValidationFailure(f"accordion needs coprime labels, got gcd({a}, {b}) = "
+                                f"{gcd(a, b)}")
     _check_size(_accordion_size(a, b), f"accordion({a}, {b})")
     if a == 0:
         return Triangulation(3, []), 1

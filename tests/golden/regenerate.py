@@ -184,6 +184,14 @@ CASES = [
     (["classify-triangle", "3", "5", "7"], None),
     # a search stopped one node before it would finish: its full run tries 16,181 values
     (["enumerate", "--boundary", "2,3,5,7,11", "--domain", "nat", "--max-nodes", "16180"], None),
+    # malformed input exits 2 from every command that reads it: labels below 1 and
+    # below 0, a boundary too short, and a zero boundary entry
+    (["realize-triangle", "0", "1", "1"], None),
+    (["classify-triangle", "0", "1", "1"], None),
+    (["accordion", "-1", "2"], None),
+    (["enumerate", "--boundary", "1,1", "--domain", "nat"], None),
+    (["enumerate", "--boundary", "0,1,1,1", "--domain", "nat"], None),
+    (["build", "--boundary", "0,1,1,1", "--quiddity", "1,1,1,1"], None),
 ]
 
 

@@ -3,12 +3,14 @@ import hashlib
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -388,6 +390,87 @@ def test_closed_stderr_keeps_exit_code():
         closed = run_frieze(argv, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2))
         for done in (piped, closed):
             assert done.returncode == code and done.stdout == ""
+
+
+def test_stdout_set_to_none_is_usage_error(monkeypatch, capsys):
+    """In process, ``sys.stdout`` is None when descriptor 1 was closed at start-up."""
+    monkeypatch.setattr(sys, "stdout", None)
+    code = main(["classify-triangle", "1", "2", "2"])
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [json.dumps({"error": "usage",
+                                            "message": "cannot write stdout: it is closed"})]
+
+
+def test_broken_pipe_on_stdout_is_usage_error(monkeypatch, tmp_path, capsys):
+    """A write that meets a closed pipe exits 2 with one JSON line, and the stdout
+    descriptor is pointed at the null device by a descriptor closed again at once."""
+    opened, os_open = [], os.open
+
+    def recorded_open(*args):
+        opened.append(os_open(*args))
+        return opened[-1]
+
+    class BrokenPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):  # a temporary file's descriptor, so fd 1 is left alone
+            return self.fd
+
+    with open(tmp_path / "stdout", "wb") as sink:
+        monkeypatch.setattr(os, "open", recorded_open)
+        monkeypatch.setattr(sys, "stdout", BrokenPipe(sink.fileno()))
+        code = main(["classify-triangle", "1", "2", "2"])
+        monkeypatch.undo()
+        assert os.path.samestat(os.fstat(sink.fileno()), os.stat(os.devnull))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [json.dumps({"error": "usage", "message":
+                                            "cannot write stdout: [Errno 32] Broken pipe"})]
+    assert len(opened) == 1
+    with pytest.raises(OSError):
+        os.fstat(opened[0])
+
+
+# -- one error type decides the exit code --------------------------------------
+
+#: library messages the CLI reaches, each with a library call that raises it and
+#: every command that reaches it
+SHARED_CHECKS = [
+    ("triangle labels must be positive integers", lambda: frieze.classify_triangle(0, 1, 1),
+     [["classify-triangle", "0", "1", "1"], ["realize-triangle", "0", "1", "1"]]),
+    ("boundary entries must be nonzero", lambda: build_pattern([0, 1, 1, 1], [1, 1, 1, 1]),
+     [["build", "--boundary", "0,1,1,1", "--quiddity", "1,1,1,1"],
+      ["enumerate", "--boundary", "0,1,1,1", "--domain", "nat"]]),
+    ("accordion needs coprime labels", lambda: frieze.accordion(4, 6),
+     [["accordion", "4", "6"]]),
+    ("above the limit of MAX_VERTICES = 100000 vertices", lambda: frieze.accordion(10**8, 1),
+     [["accordion", "100000000", "1"], ["realize-triangle", "100000000", "1", "1"]]),
+    ("malformed rational 'x'", lambda: frieze.scalar_from_str("x"),
+     [["build", "--boundary", "1,x,1", "--quiddity", "1,1,1"],
+      ["enumerate", "--boundary", "1,x,1", "--domain", "nat"]]),
+]
+
+
+@pytest.mark.parametrize("message, call, argvs", SHARED_CHECKS,
+                         ids=[message for message, _, _ in SHARED_CHECKS])
+def test_one_check_gives_one_exit_code(message, call, argvs, capsys):
+    """Every command that reaches a check exits as its error's type says:
+    1 and ``validation`` for a ``ValidationFailure``, 2 and ``usage`` otherwise."""
+    with pytest.raises(ValueError, match=re.escape(message)) as raised:
+        call()
+    failure = isinstance(raised.value, frieze.ValidationFailure)
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        record = json.loads(err)
+        assert (code, out, record["error"]) == ((1, "", "validation") if failure
+                                                else (2, "", "usage")), argv
+        assert message in record["message"], argv
 
 
 def _address_space_1gib():
