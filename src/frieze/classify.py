@@ -73,35 +73,25 @@ def classify_triangle(a: int, b: int, c: int) -> bool:
     return v2 == {0} or len(v2) > 1
 
 
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    return old_r, old_u, old_v
-
-
 def coefficient_witness(a: int, b: int, c: int) -> tuple[int, int]:
     """Integers (a1, b2) with a1*a + b*b2 = c, gcd(a1, b) = gcd(a, b2) = 1.
 
-    Bezout on a/d and b/d gives a one-parameter family of solutions; a
-    residue for the parameter is picked separately at each prime dividing
-    d = gcd(a, b) (at p = 2 the choice is forced by the parity pattern of
-    a/d, b/d, c/d, which the classification condition makes favourable).
-    Each residue is merged into k by the Chinese Remainder Theorem as soon
-    as it is found, so k is the least nonnegative parameter with them all.
+    Bezout on a/d and b/d, read off the inverse of a/d mod b/d, gives a one-parameter
+    family of solutions; a residue for the parameter is picked separately at each
+    prime dividing d = gcd(a, b) (at p = 2 the choice is forced by the parity pattern
+    of a/d, b/d, c/d, which the classification condition makes favourable).  Each
+    residue is merged into k by the Chinese Remainder Theorem as soon as it is
+    found, so k is the least nonnegative parameter with them all.
     """
     if not classify_triangle(a, b, c):
         raise ValidationFailure(f"({a}, {b}, {c}) admits no coefficient witness")
     d = gcd(a, b)
     ap, bp, cp = a // d, b // d, c // d
-    g, u, v = _extended_gcd(ap, bp)
-    assert g == 1
+    # extended Euclid's Bezout pair has |u| <= bp/2, so fold the inverse to it (0 if bp = 1)
+    u = pow(ap, -1, bp)
+    if 2 * u > bp:
+        u -= bp
+    v = (1 - u * ap) // bp
     k, modulus = 0, 1
     for p in prime_factors(d):
         for r in range(p):
@@ -318,13 +308,13 @@ def separating_unit_triangle(
 def decompose_triangle(t: Triangulation, i: int, j: int, k: int) -> CoeffTuple:
     """Factor a triangle of a classic frieze through a separating unit triangle.
 
-    Returns the nonnegative coprime-pair tuple
-    (c(k,k'), c(j',k), c(i,i'), c(k',i), c(j,j'), c(i',j)) whose delta is
-    exactly (c(i,j), c(j,k), c(k,i)).
+    Returns the nonnegative coprime-pair tuple (c(k,k'), c(j',k), c(i,i'),
+    c(k',i), c(j,j'), c(i',j)) whose delta is exactly (c(i,j), c(j,k),
+    c(k,i)).  As c(v, w) = c(w, v), the label rows of i, j, k hold all nine.
     """
     ip, jp, kp = separating_unit_triangle(t, i, j, k)
-    c = {v: cc_labels_from(t, v) for v in {i, j, k, ip, jp, kp}}  # c[v][v] is 0
-    tup = CoeffTuple(c[k][kp], c[jp][k], c[i][ip], c[kp][i], c[j][jp], c[ip][j])
+    ci, cj, ck = (cc_labels_from(t, v) for v in (i, j, k))
+    tup = CoeffTuple(ck[kp], ck[jp], ci[ip], ci[kp], cj[jp], cj[ip])
     assert min(tup) >= 0 and in_coefficient_set(tup)
-    assert delta(tup) == (c[i][j], c[j][k], c[k][i])
+    assert delta(tup) == (ci[j], cj[k], ck[i])
     return tup

@@ -24,7 +24,7 @@ import json
 import os
 import sys
 
-from . import render, triangulation
+from . import triangulation
 from .classify import classify_triangle, realize_triangle
 from .core import (frieze_from_json, frieze_to_json, grid_from_polygon,
                    to_polygon, validate_local, validate_tame)
@@ -99,18 +99,13 @@ def _report_detail(report) -> list:
 def _cmd_build(args) -> int:
     boundary = _parse_scalars(args.boundary)
     quiddity = _parse_scalars(args.quiddity)
-    _refuse_above(len(boundary), "the frieze", "MAX_TABLE_VERTICES",
-                  triangulation.MAX_TABLE_VERTICES)
+    _refuse_above(len(boundary))
     grid = build_pattern(boundary, quiddity)
     report = validate_local(grid).merged(validate_tame(grid))
     if not report.ok:
         raise ValidationFailure("pattern violates the frieze conditions",
                                 _report_detail(report))
-    try:
-        f = to_polygon(grid)
-    except ValidationFailure:  # raised by its glide check, the only one a build runs
-        raise ValidationFailure("pattern is not glide-symmetric") from None
-    _emit(json.dumps(frieze_to_json(f), indent=2) + "\n", args.output)
+    _emit(json.dumps(frieze_to_json(to_polygon(grid)), indent=2) + "\n", args.output)
     return EXIT_OK
 
 
@@ -126,16 +121,17 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _refuse_above(m: int, what: str, name: str, cap: int) -> None:
-    """Exit 1 above a size cap, which callers read at call time so a patch takes effect."""
+def _refuse_above(m: int) -> None:
+    """Exit 1 above the cap on an m x m table, read at call time so a patch takes effect."""
+    cap = triangulation.MAX_TABLE_VERTICES
     if m > cap:
-        raise ValidationFailure(f"{what} of a {m}-gon is above the limit of "
-                                f"{name} = {cap} vertices")
+        raise ValidationFailure(f"the frieze of a {m}-gon is above the limit of "
+                                f"MAX_TABLE_VERTICES = {cap} vertices")
 
 
 def _capped_frieze(tri: Triangulation):
     """The classic frieze of ``tri``, refused above the cap on its m x m table."""
-    _refuse_above(tri.m, "the frieze", "MAX_TABLE_VERTICES", triangulation.MAX_TABLE_VERTICES)
+    _refuse_above(tri.m)
     return frieze_from_triangulation(tri)
 
 
@@ -191,7 +187,6 @@ def _cmd_render(args) -> int:
         f = _capped_frieze(obj) if isinstance(obj, Triangulation) else obj
         _emit(render_ascii(f), args.output)
     else:
-        _refuse_above(obj.m, "the drawing", "SVG_MAX_VERTICES", render.SVG_MAX_VERTICES)
         mark = tuple(int(part) for part in args.mark.split(",")) if args.mark else None
         _emit(render_svg(obj, mark=mark), args.output)
     return EXIT_OK

@@ -398,11 +398,11 @@ def _fold(rows, z=1) -> FriezeMap:
 def to_polygon(grid: PatternGrid) -> FriezeMap:
     """Quotient a glide-symmetric grid to its polygon map.
 
-    Raises ``ValidationFailure`` if the grid does not satisfy the glide
-    symmetry, since the quotient would then be ill-defined.
+    Raises ``ValidationFailure`` ("pattern is not glide-symmetric") if the
+    grid fails the glide symmetry, since the quotient would then be ill-defined.
     """
     if not check_glide(grid):
-        raise ValidationFailure("grid is not glide-symmetric; cannot fold onto a polygon")
+        raise ValidationFailure("pattern is not glide-symmetric")
     big, rows = grid._ints
     return _fold(rows, big)
 

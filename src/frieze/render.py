@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 
 from .core import FriezeMap, _texts, grid_from_polygon
+from .scalars import ValidationFailure
 from .triangulation import Triangulation, frieze_from_triangulation
 
 SVG_MAX_VERTICES = 64
@@ -46,13 +47,15 @@ def render_svg(obj: FriezeMap | Triangulation, mark: tuple[int, int, int] | None
     diagonals are drawn, labelled with the values of the classic frieze
     (all of them 1 by construction).  ``mark`` highlights three distinct
     vertices: their three connecting segments are drawn on top in red with
-    their frieze values.
+    their frieze values.  Above ``SVG_MAX_VERTICES`` vertices, read at call
+    time, it raises ``ValidationFailure`` before it draws anything.
     """
     if not isinstance(obj, (FriezeMap, Triangulation)):
         raise TypeError("render_svg draws FriezeMap or Triangulation objects")
     m = obj.m
     if m > SVG_MAX_VERTICES:
-        raise ValueError(f"refusing to draw more than {SVG_MAX_VERTICES} vertices")
+        raise ValidationFailure(f"the drawing of a {m}-gon is above the limit of "
+                                f"SVG_MAX_VERTICES = {SVG_MAX_VERTICES} vertices")
     if isinstance(obj, Triangulation):
         fz = frieze_from_triangulation(obj)
         segments = sorted(

@@ -344,10 +344,12 @@ def enumerate_triangulations(m: int) -> list[Triangulation]:
     """All triangulations of the m-gon, canonically sorted; 3 <= m <= 12.
 
     Counted by the Catalan number C(m - 2).  The guardrail exists because
-    the list explodes quickly and nothing here needs more than desk scale.
+    the list explodes quickly and nothing here needs more than desk scale,
+    so m > 12 raises ``ValidationFailure``; m < 3 raises ``ValueError``.
     """
     if not 3 <= m <= 12:
-        raise ValueError("enumerate_triangulations supports 3 <= m <= 12")
+        error = ValidationFailure if m > 12 else ValueError
+        raise error("enumerate_triangulations supports 3 <= m <= 12")
 
     def fillings(vertices: tuple[int, ...]):
         if len(vertices) < 3:

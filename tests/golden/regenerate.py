@@ -70,6 +70,10 @@ ALL_ONES_6 = {"m": 6, "entries": {f"{p},{q}": "1" for p in range(1, 7) for q in 
 # the triangulation printed by ``frieze accordion 21 13``
 ACCORDION_21_13 = {"m": 9, "diagonals": [[2, 8], [2, 9], [3, 7], [3, 8], [4, 6], [4, 7]]}
 
+# the triangulations of the benchmark's cli workload at seed 1
+SEED1_TRI8 = {"m": 8, "diagonals": [[1, 3], [1, 5], [1, 6], [1, 7], [3, 5]]}
+SEED1_TRI7 = {"m": 7, "diagonals": [[1, 3], [1, 4], [1, 5], [5, 7]]}
+
 #: the argv placeholder for an output file, written with ``-o``
 OUT = "OUT"
 F80_F81_F82 = ["23416728348467685", "37889062373143906", "61305790721611591"]
@@ -192,6 +196,31 @@ CASES = [
     (["enumerate", "--boundary", "1,1", "--domain", "nat"], None),
     (["enumerate", "--boundary", "0,1,1,1", "--domain", "nat"], None),
     (["build", "--boundary", "0,1,1,1", "--quiddity", "1,1,1,1"], None),
+    # the SVG cap with a mark: a mark that is no integer list is malformed before
+    # the cap is checked; a well-formed mark, or one of the wrong count, meets the cap
+    (["render", "-", "--format", "svg", "--mark", "1,2,x"], fan(65)),
+    (["render", "-", "--format", "svg", "--mark", "1,2,3"], fan(65)),
+    (["render", "-", "--format", "svg", "--mark", "1,2"], fan(65)),
+    (["render", "-", "--format", "svg"], gauged_fan(65, [None, *[Fraction(1)] * 65])),
+    # the benchmark's cli commands at seed 1 that read no frieze document
+    (["build", "--boundary", "27/28,36/7,4/7,8/63,8/9,3,9/4",
+      "--quiddity", "7,18/49,64/9,1/7,40/3,3/4,54/7"], None),
+    (["build", "--boundary", "27/28,36/7,4/7,8/63,8/9,3,9/4",
+      "--quiddity", "6,18/49,64/9,1/7,40/3,3/4,54/7"], None),
+    (["build", "--boundary", "1,1,1,1,1,1", "--quiddity", "2,2,1,4,1,2"], None),
+    (["from-triangulation", "-"], SEED1_TRI8),
+    (["from-triangulation", "-"], SEED1_TRI7),
+    (["enumerate", "--boundary", "1,1,2,2", "--domain", "nat"], None),
+    (["realize-triangle", "15", "12", "27"], None),
+    (["realize-triangle", "7", "1", "30"], None),
+    (["realize-triangle", "50", "45", "39"], None),
+    (["accordion", "8", "16"], None),
+    (["accordion", "28", "5"], None),
+    (["accordion", "29", "12"], None),
+    (["classify-triangle", "31", "43", "26"], None),
+    (["classify-triangle", "26", "44", "19"], None),
+    (["render", "-", "--format", "svg", "--mark", "2,6,3"], SEED1_TRI8),
+    (["render", "-", "--format", "svg", "--mark", "1,3,5"], SEED1_TRI7),
 ]
 
 

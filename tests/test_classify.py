@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from pathlib import Path
 
@@ -18,7 +18,8 @@ from frieze import (CoeffTuple, cc_labels_from, classify_triangle,
                     frieze_from_triangulation, gamma_t, iceberg_descent,
                     in_coefficient_set, realize_triangle,
                     separating_unit_triangle)
-from classify_oracles import descent_mismatches, descent_steps_oracle
+from classify_oracles import (coefficient_witness_oracle, decompose_triangle_oracle,
+                              descent_mismatches, descent_steps_oracle, extended_gcd)
 from triangulation_oracles import REALIZE_LADDER, separating_by_segments
 
 ints = st.integers(min_value=-40, max_value=40)
@@ -92,6 +93,38 @@ def test_coefficient_witness_unit_b():
 def test_coefficient_witness_rejects_unrealizable():
     with pytest.raises(ValueError):
         coefficient_witness(1, 2, 2)
+
+
+def test_bezout_pair_from_pow_matches_the_euclid_loop():
+    """For coprime a, b and c = 1, no prime divides d = 1, so the witness is the
+    Bezout pair itself: every coprime pair in 1..300, and 2,000 seeded pairs
+    up to 10**30, give the pair the extended Euclidean loop returns."""
+    pairs = [(a, b) for a in range(1, 301) for b in range(1, 301) if gcd(a, b) == 1]
+    rng, drawn = random.Random(33), 0
+    while drawn < 2000:
+        a, b = rng.randint(1, 10**30), rng.randint(1, 10**30)
+        if gcd(a, b) == 1:
+            pairs.append((a, b))
+            drawn += 1
+    for a, b in pairs:
+        assert coefficient_witness(a, b, 1) == extended_gcd(a, b)[1:], (a, b)
+
+
+def test_coefficient_witness_matches_the_euclid_oracle():
+    """Every realizable triple with labels up to 40, and 500 seeded realizable
+    triples d * (a', b', c') with d up to 10**6 or a product of small primes,
+    so the residue search runs at many primes, and a', b', c' up to 10**30."""
+    triples = [t for t in product(range(1, 41), repeat=3) if classify_triangle(*t)]
+    rng, drawn = random.Random(34), 0
+    while drawn < 500:
+        d = (rng.randint(1, 10**6) if rng.random() < 0.5
+             else 2 ** rng.randint(0, 3) * 3 * 5 * 7 * 11 * 13 * rng.choice((1, 17, 19 * 23)))
+        triple = tuple(d * rng.randint(1, 10**30) for _ in range(3))
+        if classify_triangle(*triple):
+            triples.append(triple)
+            drawn += 1
+    for triple in triples:
+        assert coefficient_witness(*triple) == coefficient_witness_oracle(*triple), triple
 
 
 def test_descent_single_step_example():
@@ -347,6 +380,16 @@ def test_decompose_exhaustive_m6():
             tup = decompose_triangle(tri, i, j, k)
             assert min(tup) >= 0 and in_coefficient_set(tup)
             assert delta(tup) == (f.value(i, j), f.value(j, k), f.value(k, i))
+
+
+def test_decompose_triangle_matches_the_six_row_oracle():
+    """Three label rows give what six give, on every triangulation with
+    m <= 8 and every triple of its vertices."""
+    for m in range(3, 9):
+        for tri in enumerate_triangulations(m):
+            for i, j, k in combinations(range(1, m + 1), 3):
+                assert (decompose_triangle(tri, i, j, k)
+                        == decompose_triangle_oracle(tri, i, j, k)), (tri, i, j, k)
 
 
 def test_decompose_of_realized_triangle_recovers_triple():

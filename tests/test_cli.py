@@ -784,6 +784,21 @@ def test_svg_cap_refuses_a_65_vertex_triangulation_and_frieze():
         assert code == 2 and out == "" and json.loads(err)["error"] == "usage"
 
 
+def test_a_malformed_mark_exits_2_before_the_svg_cap():
+    """The mark is parsed before the library checks its cap, so above the cap a
+    mark that is no integer list is a usage error; a well-formed mark, one of
+    the wrong count, and no mark meet the cap and exit 1."""
+    doc = json.dumps(fan(65))
+    code, out, err = run_in_process([*SVG_COMMAND, "--mark", "1,2,x"], doc)
+    assert (code, out, err.splitlines()) == (2, "", [json.dumps(
+        {"error": "usage", "message": "invalid literal for int() with base 10: 'x'"})])
+    refusal = [json.dumps({"error": "validation", "message": "the drawing of a 65-gon is "
+                           "above the limit of SVG_MAX_VERTICES = 64 vertices"})]
+    for mark in (["--mark", "1,2,3"], ["--mark", "1,2"], []):
+        code, out, err = run_in_process([*SVG_COMMAND, *mark], doc)
+        assert (code, out, err.splitlines()) == (1, "", refusal), mark
+
+
 def test_svg_cap_is_read_at_call_time(monkeypatch):
     monkeypatch.setattr(frieze.render, "SVG_MAX_VERTICES", 12)
     assert run_in_process(SVG_COMMAND, json.dumps(fan(12)))[0] == 0

@@ -120,6 +120,13 @@ def test_check_glide(hexagon_frieze):
     assert not check_glide(broken)
 
 
+def test_to_polygon_refuses_a_grid_without_the_glide(hexagon_frieze):
+    broken = bump_entry(grid_from_polygon(hexagon_frieze), 1, 4)
+    with pytest.raises(frieze.ValidationFailure) as raised:
+        to_polygon(broken)
+    assert str(raised.value) == "pattern is not glide-symmetric"
+
+
 @st.composite
 def glide_candidates(draw):
     """An unfolded polygon map (glide-symmetric), then maybe one entry bumped."""

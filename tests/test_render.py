@@ -1,7 +1,8 @@
 import pytest
 
-from frieze import (Triangulation, build_pattern, realize_triangle,
-                    render_ascii, render_svg, to_polygon)
+import frieze.render
+from frieze import (Triangulation, ValidationFailure, build_pattern, frieze_from_triangulation,
+                    realize_triangle, render_ascii, render_svg, to_polygon)
 
 SQUARE_3753 = """\
 0 3 4 3 0
@@ -76,3 +77,21 @@ def test_svg_guardrail():
         render_svg(fan.reflected(), mark=(1, 2, 3))
     with pytest.raises(ValueError):
         render_svg(Triangulation(6, [(2, 4), (2, 5), (2, 6)]), mark=(0, 1, 2))
+
+
+def test_svg_cap_is_a_validation_failure(monkeypatch):
+    """Above SVG_MAX_VERTICES, read at call time, a triangulation and its frieze
+    are refused with one ``ValidationFailure``, before the mark is looked at."""
+    fan = Triangulation(65, [(1, k) for k in range(3, 65)])
+    for obj in (fan, frieze_from_triangulation(fan)):
+        for mark in (None, (1, 2, 3), (1, 2)):
+            with pytest.raises(ValidationFailure) as raised:
+                render_svg(obj, mark=mark)
+            assert str(raised.value) == ("the drawing of a 65-gon is above the limit of "
+                                         "SVG_MAX_VERTICES = 64 vertices")
+    monkeypatch.setattr(frieze.render, "SVG_MAX_VERTICES", 12)
+    assert render_svg(Triangulation(12, [(1, k) for k in range(3, 12)])).startswith("<svg")
+    with pytest.raises(ValidationFailure) as raised:
+        render_svg(Triangulation(13, [(1, k) for k in range(3, 13)]))
+    assert str(raised.value) == ("the drawing of a 13-gon is above the limit of "
+                                 "SVG_MAX_VERTICES = 12 vertices")

@@ -418,9 +418,12 @@ def test_enumerate_triangulations_counts():
     assert len(enumerate_triangulations(6)) == catalan(4)
     listed = enumerate_triangulations(6)
     assert listed == sorted(listed, key=Triangulation.sort_key)
-    with pytest.raises(ValueError):
+    # below 3 vertices there is no polygon; above 12 is the documented cap
+    message = "^enumerate_triangulations supports 3 <= m <= 12$"
+    with pytest.raises(ValueError, match=message) as raised:
         enumerate_triangulations(2)
-    with pytest.raises(ValueError):
+    assert not isinstance(raised.value, frieze.ValidationFailure)
+    with pytest.raises(frieze.ValidationFailure, match=message):
         enumerate_triangulations(13)
 
 
