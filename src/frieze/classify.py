@@ -18,8 +18,8 @@ from itertools import permutations
 from math import gcd
 
 from .scalars import ValidationFailure, p_valuation, prime_factors
-from .triangulation import (Triangulation, _accordion_size, _check_size, accordion,
-                            cc_labels_from, glue_three)
+from .triangulation import (Triangulation, _accordion, _check_size, _euclid_quotients, _glued,
+                            cc_labels_from)
 
 
 CoeffTuple = namedtuple("CoeffTuple", "a1 a2 b1 b2 c1 c2", module=__name__)
@@ -238,9 +238,14 @@ def realize_triangle(a: int, b: int, c: int) -> tuple[Triangulation, tuple[int, 
     triangle, and read the three apexes off the vertex maps.  The returned
     vertices (i, j, k) are ordered so that (c(i,j), c(j,k), c(k,i)) equals
     (a, b, c) exactly, which is verified before returning.  The glued
-    polygon has m_a + m_b + m_c - 3 vertices, known from the tuple before
-    any piece is built.  A label below 1 raises ``ValueError``; a triple that is
-    unrealizable, above ``MAX_VERTICES`` or past ``RHO_BUDGET`` raises ``ValidationFailure``.
+    polygon has m_a + m_b + m_c - 3 vertices, known from the Euclidean
+    quotients before any piece is built; as each piece has at least 3, that
+    one size check covers the pieces.  Only the glued polygon is built as a
+    ``Triangulation`` and validated: the pieces stay raw, and the glue maps
+    each one injectively onto an arc of the polygon, cyclic order reversed, so a
+    crossing, an edge or a wrong count in a piece fails that validation.
+    A label below 1 raises ``ValueError``; a triple that is unrealizable,
+    above ``MAX_VERTICES`` or past ``RHO_BUDGET`` raises ``ValidationFailure``.
     """
     if not classify_triangle(a, b, c):
         raise ValidationFailure(f"({a}, {b}, {c}) is not realizable")
@@ -253,20 +258,12 @@ def realize_triangle(a: int, b: int, c: int) -> tuple[Triangulation, tuple[int, 
         a1, b2 = b2, a1
     tup = iceberg_descent(CoeffTuple(a1, pb, pa - b2, b2, 0, 1))
     assert delta(tup) == (pa, pb, pc)
-    _check_size(_accordion_size(tup.a1, tup.a2) + _accordion_size(tup.b1, tup.b2)
-                + _accordion_size(tup.c1, tup.c2) - 3, f"realizing ({a}, {b}, {c})")
-
-    piece_a, k_a = accordion(tup.a1, tup.a2)
-    piece_b, k_b = accordion(tup.b1, tup.b2)
-    piece_c, k_c = accordion(tup.c1, tup.c2)
-    glued, (map_a, map_c, map_b) = glue_three(
-        piece_a, (k_a, k_a % piece_a.m + 1),
-        piece_c, (k_c, k_c % piece_c.m + 1),
-        piece_b, (k_b, k_b % piece_b.m + 1),
-    )
-    vertex_k = map_a[1]
-    vertex_j = map_c[1]
-    vertex_i = map_b[1]
+    pairs = ((tup.a1, tup.a2), (tup.c1, tup.c2), (tup.b1, tup.b2))  # glued in this order
+    quotients = [_euclid_quotients(*pair) for pair in pairs]
+    _check_size(sum(2 + sum(q) for q in quotients) - 3, f"realizing ({a}, {b}, {c})")
+    total, diagonals, maps = _glued([_accordion(*pair, q) for pair, q in zip(pairs, quotients)])
+    glued = Triangulation(total, diagonals)  # the one construction, which checks the pieces too
+    vertex_k, vertex_j, vertex_i = (vmap[1] for vmap in maps)
     label = {v: cc_labels_from(glued, v) for v in {vertex_i, vertex_j, vertex_k}}
     assert (label[vertex_i][vertex_j], label[vertex_j][vertex_k],
             label[vertex_k][vertex_i]) == (pa, pb, pc)

@@ -34,6 +34,15 @@ MAX_VERTICES = 100_000
 MAX_TABLE_VERTICES = 2_000
 
 
+def _quiddity(m: int, diagonals: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """q(w) at index w - 1: 1 + the number of diagonals at vertex w."""
+    quiddity = [1] * m
+    for p, q in diagonals:
+        quiddity[p - 1] += 1
+        quiddity[q - 1] += 1
+    return tuple(quiddity)
+
+
 class Triangulation:
     """A triangulation of a convex m-gon: m - 3 pairwise noncrossing diagonals.
 
@@ -67,14 +76,9 @@ class Triangulation:
             if open_chords and open_chords[-1][1] < q:
                 raise ValueError(f"diagonals {open_chords[-1]} and {(p, q)} cross")
             open_chords.append((p, q))
-        # quiddity[w - 1] = q(w) = 1 + the number of diagonals at vertex w
-        quiddity = [1] * m
-        for p, q in diags:
-            quiddity[p - 1] += 1
-            quiddity[q - 1] += 1
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "diagonals", frozenset(diags))
-        object.__setattr__(self, "_quiddity", tuple(quiddity))
+        object.__setattr__(self, "_quiddity", _quiddity(m, diags))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("Triangulation is immutable")
@@ -108,7 +112,11 @@ class Triangulation:
         return tuple(faces)
 
     def reflected(self) -> Triangulation:
-        """Mirror image under the reflection v -> (1 - v) mod m + 1 (= m + 2 - v, fixing 1)."""
+        """Mirror image under the reflection v -> (1 - v) mod m + 1 (= m + 2 - v, fixing 1).
+
+        A public object of the paper's dihedral symmetry; nothing in the
+        package calls it, as ``accordion`` reads its mirror off one walk.
+        """
         m = self.m
         return Triangulation(m, [((1 - p) % m + 1, (1 - q) % m + 1) for p, q in self.diagonals])
 
@@ -218,24 +226,19 @@ def cut_subpolygon(f: FriezeMap, verts: Sequence[int]) -> FriezeMap:
 
 
 def _euclid_quotients(a: int, b: int) -> list[int]:
-    """Quotients of the Euclidean algorithm on a >= b >= 1, ending at remainder 0."""
+    """Quotients of the Euclidean algorithm on max(a, b) and min(a, b), for coprime a, b >= 0.
+
+    The accordion's number line starts as the edge (1, 2) and grows by each
+    quotient, to 2 + their sum vertices.  The pairs (0, 1) and (1, 0) have
+    no quotient; they read as (1, 1), whose quotient 1 gives the bare triangle.
+    """
     quotients = []
-    r0, r1 = a, b
+    r0, r1 = max(a, b), min(a, b)
     while r1:
         q, r = divmod(r0, r1)
         quotients.append(q)
         r0, r1 = r1, r
-    return quotients
-
-
-def _accordion_size(a: int, b: int) -> int:
-    """Vertex count of the polygon ``accordion(a, b)`` builds, for coprime a, b >= 0.
-
-    The number line starts as the edge (1, 2) and grows by each quotient.
-    """
-    if a == 0 or b == 0:
-        return 3
-    return 2 + sum(_euclid_quotients(max(a, b), min(a, b)))
+    return quotients or [1]
 
 
 def _check_size(m: int, what: str) -> None:
@@ -244,32 +247,47 @@ def _check_size(m: int, what: str) -> None:
                                 f"MAX_VERTICES = {MAX_VERTICES} vertices")
 
 
-def _accordion_triangulation(a: int, b: int) -> Triangulation:
-    """Number-line construction for a >= b >= 1 with gcd(a, b) = 1.
+def _accordion(a: int, b: int, quotients: list[int] | None = None) -> tuple[int, list, int]:
+    """``accordion(a, b)`` as (m, diagonals, k), with no ``Triangulation`` built.
 
     Working through the Euclidean quotients in reverse, fan arcs
     alternately to the left and to the right of the starting edge (1, 2);
     the integers touched become the polygon's vertices, renumbered
     consecutively with vertex 1 kept in place.  The final arc joins the two
     extremes and is the closing edge of the polygon; every other arc is a
-    diagonal.
+    diagonal.  One walk of row 1 finds k.  Where the direct construction
+    misplaces the labels, its mirror under v -> (1 - v) mod m + 1 (fixing 1)
+    has that row read at (1 - w) mod m + 1.  A caller that passes the
+    quotients has checked the labels and the size; otherwise they are checked here.
     """
-    arcs = []
-    left_end, right_end = 1, 2
-    anchor = 2
-    for index, q in enumerate(reversed(_euclid_quotients(a, b))):
+    if quotients is None:
+        if a < 0 or b < 0:
+            raise ValueError("accordion labels must be nonnegative")
+        if gcd(a, b) != 1:
+            raise ValidationFailure(f"accordion needs coprime labels, got gcd({a}, {b}) = "
+                                    f"{gcd(a, b)}")
+        quotients = _euclid_quotients(a, b)
+        _check_size(2 + sum(quotients), f"accordion({a}, {b})")
+    arcs, left_end, right_end, anchor = [], 1, 2, 2
+    for index, q in enumerate(reversed(quotients)):
         if index % 2 == 0:
-            for target in range(left_end - 1, left_end - 1 - q, -1):
-                arcs.append((anchor, target))
-            left_end -= q
-            anchor = left_end
+            arcs += [(anchor, target) for target in range(left_end - 1, left_end - 1 - q, -1)]
+            anchor = left_end = left_end - q
         else:
-            for target in range(right_end + 1, right_end + 1 + q):
-                arcs.append((anchor, target))
-            right_end += q
-            anchor = right_end
+            arcs += [(anchor, target) for target in range(right_end + 1, right_end + 1 + q)]
+            anchor = right_end = right_end + q
     m = right_end - left_end + 1
-    return Triangulation(m, [((x - 1) % m + 1, (y - 1) % m + 1) for x, y in arcs[:-1]])
+    diagonals = [((x - 1) % m + 1, (y - 1) % m + 1) for x, y in arcs[:-1]]
+    row = [0, *_walk(-1, 0, (1,) * m, _quiddity(m, diagonals), 1, m - 1)]  # row[w - 1] = c(1, w)
+    for mirrored in (False, True):
+        if mirrored:
+            row = row[:1] + row[:0:-1]
+        for k in range(1, m + 1):
+            if row[k - 1] == a and row[k % m] == b:
+                if mirrored:
+                    diagonals = [((1 - p) % m + 1, (1 - q) % m + 1) for p, q in diagonals]
+                return m, diagonals, k
+    raise AssertionError(f"accordion construction failed for ({a}, {b})")
 
 
 def accordion(a: int, b: int) -> tuple[Triangulation, int]:
@@ -278,30 +296,27 @@ def accordion(a: int, b: int) -> tuple[Triangulation, int]:
     Returns (T, k) such that the classic frieze of T has c(1, k) = a,
     c(k, k+1) = 1 and c(1, k+1) = b, with k + 1 read cyclically.  Needs
     gcd(a, b) = 1; the degenerate pairs (0, 1) and (1, 0) sit on a bare
-    triangle.  When the direct construction places the two labels in the
-    wrong rotational order, its mirror image does the job.  A negative
+    triangle.  The direct construction or its mirror image, whichever
+    places the labels in order, is validated once as T.  A negative
     label raises ``ValueError``; a pair that is not coprime, or a polygon
     above :data:`MAX_VERTICES` vertices, raises ``ValidationFailure``.
     """
-    if a < 0 or b < 0:
-        raise ValueError("accordion labels must be nonnegative")
-    if gcd(a, b) != 1:
-        raise ValidationFailure(f"accordion needs coprime labels, got gcd({a}, {b}) = "
-                                f"{gcd(a, b)}")
-    _check_size(_accordion_size(a, b), f"accordion({a}, {b})")
-    if a == 0:
-        return Triangulation(3, []), 1
-    if b == 0:
-        return Triangulation(3, []), 3
-    t = _accordion_triangulation(max(a, b), min(a, b))
-    for mirrored in (False, True):
-        if mirrored:  # built only when the direct construction misplaces the labels
-            t = t.reflected()
-        labels = cc_labels_from(t, 1)
-        for k in range(1, t.m + 1):
-            if labels[k] == a and labels[k % t.m + 1] == b:
-                return t, k
-    raise AssertionError(f"accordion construction failed for ({a}, {b})")
+    m, diagonals, k = _accordion(a, b)
+    return Triangulation(m, diagonals), k
+
+
+def _glued(pieces: Sequence[tuple]) -> tuple[int, list, tuple[dict, dict, dict]]:
+    """``glue_three`` on raw pieces (m_r, diagonals_r, s_r): M, the diagonals, the vertex maps."""
+    (m1, _, _), (m2, _, _), (m3, _, _) = pieces
+    total = m1 + m2 + m3 - 3
+    maps, diagonals, offset = [], [], 0
+    for m, diags, s in pieces:
+        vmap = {(s - pos - 1) % m + 1: (offset + pos) % total + 1 for pos in range(m)}
+        diagonals.extend((vmap[p], vmap[q]) for p, q in diags)
+        maps.append(vmap)
+        offset += m - 1
+    diagonals += [(1, m1), (m1, m1 + m2 - 1), (1, m1 + m2 - 1)]
+    return total, diagonals, tuple(maps)
 
 
 def glue_three(
@@ -320,24 +335,17 @@ def glue_three(
     m_r - 1.  The marked edges become the diagonals (1, m1), (m1, m1 + m2 - 1)
     and (1, m1 + m2 - 1), a central triangle whose sides all carry 1.
 
-    Returns the glued triangulation together with one vertex map per piece,
-    keyed in walk order, so callers can locate specific vertices afterwards.
+    Returns the glued triangulation, validated once, together with one
+    vertex map per piece, keyed in walk order, so callers can locate
+    specific vertices afterwards.
     """
     pieces = ((t1, edge1), (t2, edge2), (t3, edge3))
     for t, (s, e) in pieces:
         if not (1 <= s <= t.m and e == s % t.m + 1):
             raise ValueError(f"mark ({s}, {e}) is not an oriented edge of an "
                              f"{t.m}-gon")
-    m1, m2 = t1.m, t2.m
-    total = m1 + m2 + t3.m - 3
-    maps, diagonals, offset = [], [], 0
-    for t, (s, _) in pieces:
-        vmap = {(s - pos - 1) % t.m + 1: (offset + pos) % total + 1 for pos in range(t.m)}
-        diagonals.extend((vmap[p], vmap[q]) for p, q in t.diagonals)
-        maps.append(vmap)
-        offset += t.m - 1
-    diagonals += [(1, m1), (m1, m1 + m2 - 1), (1, m1 + m2 - 1)]
-    return Triangulation(total, diagonals), tuple(maps)
+    total, diagonals, maps = _glued([(t.m, t.diagonals, s) for t, (s, _) in pieces])
+    return Triangulation(total, diagonals), maps
 
 
 def enumerate_triangulations(m: int) -> list[Triangulation]:
@@ -380,9 +388,13 @@ def triangle_label_gcds_divide(f: FriezeMap, i: int, j: int, k: int) -> bool:
     As gcd(x, y) | z exactly when gcd(x, y) = gcd(x, y, z), that is the three
     pairwise gcds being equal (zeros included, gcd(0, 0) = 0).  Holds in every
     classic Conway-Coxeter frieze; exposed so tests can sweep vertex triples.
+    Reads the cleared table (L, L * c): a label is whole when L divides its
+    int, and the common factor L leaves the three gcds equal or not.
     """
-    x, y, z = f.value(i, j), f.value(j, k), f.value(i, k)
-    if any(v.denominator != 1 for v in (x, y, z)):
+    big, table = f._ints
+    if not all(1 <= v <= f.m for v in (i, j, k)):
+        raise ValueError(f"vertices must lie in 1..{f.m}")
+    x, y, z = table[i][j], table[j][k], table[i][k]
+    if x % big or y % big or z % big:
         raise ValueError("gcd divisibility is about integer friezes")
-    x, y, z = x.numerator, y.numerator, z.numerator
     return gcd(x, y) == gcd(y, z) == gcd(x, z)

@@ -16,16 +16,23 @@ once ran, kept inside ``coefficient_witness_oracle``, a copy of that body;
 the function now reads the same Bezout pair off ``pow(a, -1, b)``.
 ``decompose_triangle_oracle`` walks the label rows of all six vertices,
 where ``decompose_triangle`` walks three and reads the rest by symmetry.
+
+``realize_triangle_oracle`` builds and validates each of the three
+accordion pieces with ``accordion_oracle`` and glues them with
+``glue_three``: the oracle for ``realize_triangle``, which validates only
+the glued triangulation.
 """
 
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 
-from frieze import (CoeffTuple, ValidationFailure, cc_labels_from, classify_triangle, delta,
-                    descent_steps, gamma_t, iceberg_descent, in_coefficient_set,
-                    separating_unit_triangle)
+from frieze import (CoeffTuple, ValidationFailure, cc_labels_from, classify_triangle,
+                    coefficient_witness, delta, descent_steps, gamma_t, glue_three,
+                    iceberg_descent, in_coefficient_set, separating_unit_triangle)
 from frieze.classify import _completed, _descent_target
 from frieze.scalars import prime_factors
+from frieze.triangulation import _check_size
+from triangulation_oracles import accordion_oracle, accordion_size
 
 
 def descent_steps_oracle(t):
@@ -126,6 +133,39 @@ def decompose_triangle_oracle(t, i, j, k):
     assert min(tup) >= 0 and in_coefficient_set(tup)
     assert delta(tup) == (c[i][j], c[j][k], c[k][i])
     return tup
+
+
+def realize_triangle_oracle(a, b, c):
+    """``realize_triangle`` from three validated accordion pieces and ``glue_three``."""
+    if not classify_triangle(a, b, c):
+        raise ValidationFailure(f"({a}, {b}, {c}) is not realizable")
+    triple = (a, b, c)
+    order = min(permutations(range(3)), key=lambda p: (triple[p[2]], p))
+    pa, pb, pc = (triple[index] for index in order)
+    a1, b2 = coefficient_witness(pa, pb, pc)
+    if a1 < 0:
+        pa, pb = pb, pa
+        a1, b2 = b2, a1
+    tup = iceberg_descent(CoeffTuple(a1, pb, pa - b2, b2, 0, 1))
+    assert delta(tup) == (pa, pb, pc)
+    _check_size(accordion_size(tup.a1, tup.a2) + accordion_size(tup.b1, tup.b2)
+                + accordion_size(tup.c1, tup.c2) - 3, f"realizing ({a}, {b}, {c})")
+    piece_a, k_a = accordion_oracle(tup.a1, tup.a2)
+    piece_b, k_b = accordion_oracle(tup.b1, tup.b2)
+    piece_c, k_c = accordion_oracle(tup.c1, tup.c2)
+    glued, (map_a, map_c, map_b) = glue_three(
+        piece_a, (k_a, k_a % piece_a.m + 1),
+        piece_c, (k_c, k_c % piece_c.m + 1),
+        piece_b, (k_b, k_b % piece_b.m + 1),
+    )
+    vertex_k, vertex_j, vertex_i = map_a[1], map_c[1], map_b[1]
+    label = {v: cc_labels_from(glued, v) for v in {vertex_i, vertex_j, vertex_k}}
+    assert (label[vertex_i][vertex_j], label[vertex_j][vertex_k],
+            label[vertex_k][vertex_i]) == (pa, pb, pc)
+    for i, j, k in permutations((vertex_i, vertex_j, vertex_k)):
+        if (label[i][j], label[j][k], label[k][i]) == (a, b, c):
+            return glued, (i, j, k)
+    raise AssertionError("realized triangle does not match the request")
 
 
 if __name__ == "__main__":

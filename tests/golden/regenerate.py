@@ -73,6 +73,18 @@ ACCORDION_21_13 = {"m": 9, "diagonals": [[2, 8], [2, 9], [3, 7], [3, 8], [4, 6],
 # the triangulations of the benchmark's cli workload at seed 1
 SEED1_TRI8 = {"m": 8, "diagonals": [[1, 3], [1, 5], [1, 6], [1, 7], [3, 5]]}
 SEED1_TRI7 = {"m": 7, "diagonals": [[1, 3], [1, 4], [1, 5], [5, 7]]}
+# the frieze documents of the benchmark's cli workload at seed 1: an integer
+# one, a rational one, and the rational one with the entry (1, 4) corrupted
+SEED1_FRIEZE6 = {"m": 6, "entries": {
+    "1,2": "1", "1,3": "2", "1,4": "1", "1,5": "2", "1,6": "1", "2,3": "1", "2,4": "1",
+    "2,5": "3", "2,6": "2", "3,4": "1", "3,5": "4", "3,6": "3", "4,5": "1", "4,6": "1",
+    "5,6": "1"}}
+SEED1_FRIEZE7 = {"m": 7, "entries": {
+    "1,2": "36/7", "1,3": "18/49", "1,4": "24/7", "1,5": "9/7", "1,6": "54/7", "1,7": "27/28",
+    "2,3": "4/7", "2,4": "64/9", "2,5": "4", "2,6": "36", "2,7": "6", "3,4": "8/63",
+    "3,5": "1/7", "3,6": "12/7", "3,7": "9/28", "4,5": "8/9", "4,6": "40/3", "4,7": "8/3",
+    "5,6": "3", "5,7": "3/4", "6,7": "9/4"}}
+SEED1_CORRUPTED7 = {"m": 7, "entries": {**SEED1_FRIEZE7["entries"], "1,4": "31/7"}}
 
 #: the argv placeholder for an output file, written with ``-o``
 OUT = "OUT"
@@ -221,6 +233,19 @@ CASES = [
     (["classify-triangle", "26", "44", "19"], None),
     (["render", "-", "--format", "svg", "--mark", "2,6,3"], SEED1_TRI8),
     (["render", "-", "--format", "svg", "--mark", "1,3,5"], SEED1_TRI7),
+    # the benchmark's cli commands at seed 1 that read a frieze document
+    (["validate", "-"], SEED1_FRIEZE6),
+    (["validate", "-"], SEED1_FRIEZE7),
+    (["validate", "-"], SEED1_CORRUPTED7),
+    (["cut", "-", "--verts", "2,4,5,6"], SEED1_FRIEZE6),
+    (["cut", "-", "--verts", "1,4,5,7"], SEED1_FRIEZE7),
+    (["render", "-", "--format", "ascii"], SEED1_FRIEZE6),
+    (["render", "-", "--format", "ascii"], SEED1_FRIEZE7),
+    # accordions whose direct construction misplaces the labels (2 5, 3 4) and
+    # one whose does not (5 2)
+    (["accordion", "2", "5"], None),
+    (["accordion", "5", "2"], None),
+    (["accordion", "3", "4"], None),
 ]
 
 

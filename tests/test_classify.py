@@ -19,8 +19,9 @@ from frieze import (CoeffTuple, cc_labels_from, classify_triangle,
                     in_coefficient_set, realize_triangle,
                     separating_unit_triangle)
 from classify_oracles import (coefficient_witness_oracle, decompose_triangle_oracle,
-                              descent_mismatches, descent_steps_oracle, extended_gcd)
-from triangulation_oracles import REALIZE_LADDER, separating_by_segments
+                              descent_mismatches, descent_steps_oracle, extended_gcd,
+                              realize_triangle_oracle)
+from triangulation_oracles import REALIZE_LADDER, outcome, separating_by_segments
 
 ints = st.integers(min_value=-40, max_value=40)
 
@@ -412,6 +413,15 @@ def test_realize_and_decompose_large_polygon():
     a, b, c = sorted((i, j, k))
     expected = (tables[a][b], tables[b][c], tables[c][a])
     assert delta(decompose_triangle(tri, a, b, c)) == expected
+
+
+@pytest.mark.parametrize("top", [24, pytest.param(40, marks=pytest.mark.slow)])
+def test_realize_triangle_matches_the_piece_building_oracle(top):
+    """Every triple with labels in 1..top, and the ladder: the same
+    triangulation and vertices, or a refusal of the same type and message."""
+    for triple in [*product(range(1, top + 1), repeat=3), *REALIZE_LADDER]:
+        assert outcome(realize_triangle, *triple) == outcome(realize_triangle_oracle, *triple), \
+            triple
 
 
 def test_realize_triangle_refuses_past_the_vertex_budget():

@@ -138,6 +138,8 @@ def test_reprs_and_hashes_of_the_table_types():
      "boundary and quiddity must have the same length"),
     (lambda: frieze.triangle_label_gcds_divide(frieze.scale(SQUARE, Fraction(1, 2)), 1, 2, 3),
      ValueError, "gcd divisibility is about integer friezes"),
+    (lambda: frieze.triangle_label_gcds_divide(SQUARE, 1, 2, 5), ValueError,
+     "vertices must lie in 1..4"),
     (lambda: frieze.render_svg(SQUARE.pairs()), TypeError,
      "render_svg draws FriezeMap or Triangulation objects"),
     (lambda: frieze.scalars.prime_factors(0), ValueError,

@@ -3,7 +3,7 @@ import random
 import re
 import time
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb, gcd
 
 import pytest
@@ -16,8 +16,10 @@ from frieze import (FriezeMap, Triangulation, accordion, cc_labels_from, cut_sub
                     glue_three, realize_triangle, scale, triangle_label_gcds_divide,
                     triangulation_from_json, triangulation_to_json,
                     verify_all_ptolemy)
+from classify_oracles import realize_triangle_oracle
 from table_checks import assert_same_table
-from triangulation_oracles import (REALIZE_LADDER, gcds_divide_by_divides, glue_three_by_walks,
+from triangulation_oracles import (REALIZE_LADDER, accordion_oracle, accordion_triangulation,
+                                   gcds_divide_by_divides, glue_three_by_walks, outcome,
                                    reflected_by_mirror, walk_table_frieze)
 
 
@@ -306,23 +308,36 @@ def test_accordion_swapped_order():
     assert labels[k] == 2 and labels[k % tri.m + 1] == 5
 
 
-def test_accordion_builds_the_mirror_only_when_needed(monkeypatch):
-    """(2, 5) sits in the wrong rotational order on the direct construction
-    and needs its mirror image; (5, 2) does not."""
-    reflected = Triangulation.reflected
-    calls = []
+def test_accordion_and_realize_build_one_triangulation(monkeypatch):
+    """(2, 5) and (3, 4) sit in the wrong rotational order on the direct
+    construction and take its mirror image, (5, 2) and (4, 3) do not; each
+    builds one ``Triangulation``.  ``realize_triangle`` builds only the glued
+    one, never its three pieces."""
+    init, built = Triangulation.__init__, []
 
-    def counting(self):
-        calls.append(self)
-        return reflected(self)
+    def counting(self, m, diagonals):
+        built.append(m)
+        init(self, m, diagonals)
 
-    monkeypatch.setattr(Triangulation, "reflected", counting)
-    for a, b, mirrors in ((2, 5, 1), (5, 2, 0), (3, 4, 1), (4, 3, 0)):
-        calls.clear()
-        tri, k = accordion(a, b)
-        labels = cc_labels_from(tri, 1)
-        assert labels[k] == a and labels[k % tri.m + 1] == b
-        assert len(calls) == mirrors
+    monkeypatch.setattr(Triangulation, "__init__", counting)
+    for a, b in ((2, 5), (5, 2), (3, 4), (4, 3)):
+        expected = accordion_oracle(a, b)
+        assert (expected[0] != accordion_triangulation(max(a, b), min(a, b))) == (a < b)
+        built.clear()
+        assert accordion(a, b) == expected
+        assert built == [expected[0].m]
+    for triple in [*REALIZE_LADDER, (2, 3, 1), (4, 2, 2), (15, 12, 27), (7, 1, 30)]:
+        expected = realize_triangle_oracle(*triple)
+        built.clear()
+        assert realize_triangle(*triple) == expected
+        assert built == [expected[0].m], triple
+
+
+def test_accordion_matches_the_mirror_building_oracle():
+    """Every pair in -1..60: the same triangulation and k, or a refusal of
+    the same type with the same message."""
+    for a, b in product(range(-1, 61), repeat=2):
+        assert outcome(accordion, a, b) == outcome(accordion_oracle, a, b), (a, b)
 
 
 def test_accordion_rejects_common_factor():

@@ -15,11 +15,19 @@ boundary vertex by vertex, the oracle for ``glue_three``, which numbers it
 in closed form.  ``reflected_by_mirror`` and ``gcds_divide_by_divides`` are
 the branching forms of ``Triangulation.reflected`` and
 ``triangle_label_gcds_divide``.
+
+``accordion_oracle`` builds and validates the direct number-line
+triangulation, then its mirror image through ``reflected`` when the labels
+sit in the wrong order, and walks row 1 of each: the oracle for
+``accordion``, which builds one triangulation and reads the mirror's
+labels off the direct row.  ``accordion_size`` counts its polygon.
+``outcome`` is what a call returns, or the type and message it raises.
 """
 
 from math import gcd
 
-from frieze import FriezeMap, Triangulation, cc_labels_from
+from frieze import FriezeMap, Triangulation, ValidationFailure, cc_labels_from
+from frieze.triangulation import _check_size
 
 #: the accordion ladder of the bench ``realize`` workload
 REALIZE_LADDER = [(44, 1, 1), (50, 1, 1), (56, 1, 1), (62, 1, 1), (68, 1, 1), (76, 1, 1),
@@ -110,3 +118,71 @@ def gcds_divide_by_divides(f, i, j, k):
         return n % d == 0 if d != 0 else n == 0
 
     return divides(gcd(x, y), z) and divides(gcd(y, z), x) and divides(gcd(x, z), y)
+
+
+def outcome(function, *args):
+    """``function(*args)``, or the type and message of the ``ValueError`` it raises."""
+    try:
+        return function(*args)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+def euclid_quotients(a, b):
+    """Quotients of the Euclidean algorithm on a >= b >= 1, ending at remainder 0."""
+    quotients = []
+    while b:
+        q, r = divmod(a, b)
+        quotients.append(q)
+        a, b = b, r
+    return quotients
+
+
+def accordion_size(a, b):
+    """Vertex count of ``accordion(a, b)`` for coprime a, b >= 0."""
+    if a == 0 or b == 0:
+        return 3
+    return 2 + sum(euclid_quotients(max(a, b), min(a, b)))
+
+
+def accordion_triangulation(a, b):
+    """The number-line triangulation for a >= b >= 1 with gcd(a, b) = 1."""
+    arcs = []
+    left_end, right_end = 1, 2
+    anchor = 2
+    for index, q in enumerate(reversed(euclid_quotients(a, b))):
+        if index % 2 == 0:
+            for target in range(left_end - 1, left_end - 1 - q, -1):
+                arcs.append((anchor, target))
+            left_end -= q
+            anchor = left_end
+        else:
+            for target in range(right_end + 1, right_end + 1 + q):
+                arcs.append((anchor, target))
+            right_end += q
+            anchor = right_end
+    m = right_end - left_end + 1
+    return Triangulation(m, [((x - 1) % m + 1, (y - 1) % m + 1) for x, y in arcs[:-1]])
+
+
+def accordion_oracle(a, b):
+    """``accordion`` by the direct triangulation, then its validated mirror image."""
+    if a < 0 or b < 0:
+        raise ValueError("accordion labels must be nonnegative")
+    if gcd(a, b) != 1:
+        raise ValidationFailure(f"accordion needs coprime labels, got gcd({a}, {b}) = "
+                                f"{gcd(a, b)}")
+    _check_size(accordion_size(a, b), f"accordion({a}, {b})")
+    if a == 0:
+        return Triangulation(3, []), 1
+    if b == 0:
+        return Triangulation(3, []), 3
+    t = accordion_triangulation(max(a, b), min(a, b))
+    for mirrored in (False, True):
+        if mirrored:
+            t = t.reflected()
+        labels = cc_labels_from(t, 1)
+        for k in range(1, t.m + 1):
+            if labels[k] == a and labels[k % t.m + 1] == b:
+                return t, k
+    raise AssertionError(f"accordion construction failed for ({a}, {b})")
