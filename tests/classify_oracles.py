@@ -32,7 +32,7 @@ from frieze import (CoeffTuple, ValidationFailure, cc_labels_from, classify_tria
 from frieze.classify import _completed, _descent_target
 from frieze.scalars import prime_factors
 from frieze.triangulation import _check_size
-from triangulation_oracles import accordion_oracle, accordion_size
+from triangulation_oracles import accordion_oracle, accordion_size, outcome
 
 
 def descent_steps_oracle(t):
@@ -57,13 +57,6 @@ def descent_steps_oracle(t):
         t = nxt
 
 
-def _outcome(function, t):
-    try:
-        return function(t)
-    except ValueError as error:
-        return "ValueError", str(error)
-
-
 def descent_mismatches(low=-3, high=4):
     """(tuples compared, those on which a public function and the oracle differ).
 
@@ -80,9 +73,9 @@ def descent_mismatches(low=-3, high=4):
         except ValueError:
             continue
         compared += 1
-        expected = _outcome(lambda start: list(descent_steps_oracle(start)), t)
-        steps = _outcome(lambda start: list(descent_steps(start)), t)
-        end = _outcome(iceberg_descent, t)
+        expected = outcome(lambda start: list(descent_steps_oracle(start)), t)
+        steps = outcome(lambda start: list(descent_steps(start)), t)
+        end = outcome(iceberg_descent, t)
         if (steps, end) != ((expected, expected[-1]) if isinstance(expected, list)
                             else (expected, expected)):
             mismatches.append(t)
