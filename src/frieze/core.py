@@ -19,6 +19,9 @@ builder whose ints can share a factor with L (a fold, a cut, a rescale)
 divides it out with ``_lowest``.  The readers make the ``Fraction``s they
 return on each call, one per distinct int.  The homogeneous checks (local rule, tameness, glide,
 Ptolemy) run on the ints; the writers format each distinct int once.
+The boundary and quiddity readers return a tuple that also carries its
+cleared ints in lowest terms, which propagation takes as they stand; its
+copies and pickles are plain tuples.
 """
 
 from __future__ import annotations
@@ -117,12 +120,14 @@ class _Tables:
 
     @property
     def boundary_sequence(self) -> tuple[Fraction, ...]:
-        """d_i = c(i, i+1) for i = 0..m-1, aligned with grid row indexing."""
+        """d_i = c(i, i+1) for i = 0..m-1, aligned with grid row indexing.
+        The tuple carries its cleared ints; its copies are plain tuples."""
         return self._cycle(1)
 
     @property
     def quiddity_cycle(self) -> tuple[Fraction, ...]:
-        """q_i = c(i, i+2) for i = 0..m-1."""
+        """q_i = c(i, i+2) for i = 0..m-1.
+        The tuple carries its cleared ints; its copies are plain tuples."""
         return self._cycle(2)
 
 
@@ -182,10 +187,10 @@ class PatternGrid(_Tables):
             return Fraction(table[r][offset], big)
         raise ValueError(f"entry ({i}, {j}) outside the extended strip")
 
-    def _cycle(self, k: int) -> tuple[Fraction, ...]:
+    def _cycle(self, k: int) -> _Cycle:
         """c(i, i+k) for i = 0..m-1: column k of the rows."""
         big, table = self._ints
-        return next(_fractions(big, [[row[k] for row in table]]))
+        return _carried(big, [row[k] for row in table])
 
     def __hash__(self) -> int:
         return hash(self.rows)
@@ -218,6 +223,23 @@ def _fractions(big: int, rows) -> Iterator[tuple[Fraction, ...]]:
     scalars = ({x: Fraction(x) for x in values} if big == 1  # Fraction(x) takes no gcd
                else {x: Fraction(x, big) for x in values})
     return (itemgetter(*row)(scalars) for row in rows)
+
+
+class _Cycle(tuple):
+    """A cycle of ``Fraction``s that carries its cleared ints ``_ints`` = (L, L * c), L the
+    lcm of its own reduced denominators; copies and pickles are plain tuples."""
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
+def _carried(big: int, column: list[int]) -> _Cycle:
+    """The cycle x / L of a table column, L any common denominator of it."""
+    g = gcd(big, *column)
+    big, column = big // g, tuple(x // g for x in column)
+    cycle = _Cycle(next(_fractions(big, [column])))
+    cycle._ints = big, column
+    return cycle
 
 
 def _extended_rows(grid: PatternGrid) -> tuple[int, list[list[int]]]:
@@ -346,10 +368,10 @@ class FriezeMap(_Tables):
         values = next(_fractions(big, [[x for p in range(1, m) for x in table[p][p + 1:]]]))
         return zip(combinations(range(1, m + 1), 2), values)
 
-    def _cycle(self, k: int) -> tuple[Fraction, ...]:
+    def _cycle(self, k: int) -> _Cycle:
         """c(i, i+k) for i = 0..m-1 as c(v, w): v = i (m for i = 0), w = v + k folded into 1..m."""
         (big, table), m = self._ints, self.m
-        return next(_fractions(big, [[table[v][(v + k - 1) % m + 1] for v in (m, *range(1, m))]]))
+        return _carried(big, [table[v][(v + k - 1) % m + 1] for v in (m, *range(1, m))])
 
     @property
     def edge_values(self) -> tuple[Fraction, ...]:

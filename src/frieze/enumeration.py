@@ -109,7 +109,9 @@ def quiddity_bound(boundary: Sequence, min_modulus) -> BoundData:
 
     Requires height n >= 1, that is at least 4 boundary entries, and
     P = max |d_i| >= 1; for smaller boundaries rescale the frieze first
-    (multiply through by 1/P) and enumerate the scaled problem.
+    (multiply through by 1/P) and enumerate the scaled problem.  With
+    P = a/b and M = c/e, B = a^2 e (abc + (n-1) a^2 e + b^2 c) / (b^4 c^2),
+    computed in ints with one ``Fraction`` at the end.
     """
     d = [as_scalar(x) for x in boundary]
     if len(d) < 4 or any(x == 0 for x in d):
@@ -123,7 +125,8 @@ def quiddity_bound(boundary: Sequence, min_modulus) -> BoundData:
         raise ValueError(
             f"quiddity bound needs max boundary modulus >= 1, got {big_p}; "
             f"rescale the frieze by {1 / big_p} and enumerate the scaled problem")
-    bound = big_p ** 2 * (big_p * big_m + (n - 1) * big_p ** 2 + big_m) / big_m ** 2
+    (a, b), (c, e) = big_p.as_integer_ratio(), big_m.as_integer_ratio()
+    bound = Fraction(a * a * e * (a * b * c + (n - 1) * a * a * e + b * b * c), b ** 4 * c * c)
     return BoundData(P=big_p, M=big_m, n=n, B=bound)
 
 

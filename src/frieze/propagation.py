@@ -14,7 +14,9 @@ tests keep the explicit ``mu`` product as the kernel's oracle.
 
 The kernel takes int cycles and int windows only, and every caller hands
 it ints.  ``_cycles`` clears the rational cycles of the three entry points
-to ints over one common denominator L in a single pass.  The step is
+in two passes: each cycle to ints over its own denominator, then both to
+one common denominator L.  A cycle read off a grid or a map carries its
+cleared ints and is taken as it stands; any other is coerced.  The step is
 homogeneous of degree 1 in its window, so a walk on the cleared cycles
 from L times the seed gives L times the entries.  A row step that leaves
 a remainder does not switch the row to ``Fraction`` arithmetic: the walk
@@ -31,7 +33,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import PatternGrid, _cleared
+from .core import PatternGrid, _cleared, _Cycle
 from .scalars import as_scalar
 
 
@@ -154,26 +156,35 @@ def _walk(x, y, d: Sequence, q: Sequence, k: int, steps: int) -> list:
     return out
 
 
+def _cleared_cycle(values: Sequence) -> tuple[int, Sequence[int]]:
+    """(L, L * values) as ints, L the lcm of the reduced denominators: carried, or coerced."""
+    if type(values) is _Cycle:
+        return values._ints
+    big, (ints,) = _cleared([[as_scalar(v) for v in values]])
+    return big, ints
+
+
 def _cycles(boundary: Sequence, quiddity: Sequence) -> tuple[int, list[int], list[int]]:
     """The lcm L of both cycles' denominators and both cycles times L, as ints.
 
     The boundary must be nonzero and the quiddity of equal length >= 3.  The
     row step reads the cycles only through ratios, so the cleared cycles
-    walk the same windows as the given ones.  Each value is coerced and
-    read as (numerator, denominator) once, and rescaled by one multiply.
+    walk the same windows as the given ones.  Each cycle is cleared on its
+    own first, a carried one as it stands and any other coerced value by
+    value; the checks run on those ints, and both are rescaled to one L.
     """
-    d = [as_scalar(v).as_integer_ratio() for v in boundary]
+    big_d, d = _cleared_cycle(boundary)
     if len(d) < 3:
         raise ValueError("boundary sequence needs at least 3 values")
-    if (0, 1) in d:
+    if 0 in d:
         raise ValueError("boundary entries must be nonzero")
-    q = [as_scalar(v).as_integer_ratio() for v in quiddity]
+    big_q, q = _cleared_cycle(quiddity)
     if len(q) < 3:
         raise ValueError("quiddity cycle needs at least 3 values")
     if len(q) != len(d):
         raise ValueError("boundary and quiddity must have the same length")
-    big = lcm(*{e for _, e in d}, *{e for _, e in q})
-    return big, [n * (big // e) for n, e in d], [n * (big // e) for n, e in q]
+    big = lcm(big_d, big_q)
+    return big, [x * (big // big_d) for x in d], [x * (big // big_q) for x in q]
 
 
 def build_pattern(boundary: Sequence, quiddity: Sequence) -> PatternGrid:

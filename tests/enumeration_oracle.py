@@ -5,6 +5,9 @@ every row for each trial, checks the glide only at the leaves, and
 rescales boundaries with P < 1 by recursing on the scaled problem.  It
 carries its own ``Fraction`` row step, so changes to the package's kernel
 cannot move the oracle.
+
+``fraction_quiddity_bound`` is the ``Fraction`` form of ``quiddity_bound``,
+the oracle of its int arithmetic.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import Sequence
 
 from frieze import (DomainSpec, FriezeMap, PatternGrid, check_glide,
                     closes_to_negative_identity, quiddity_bound, scale, to_polygon)
+from frieze.enumeration import BoundData
 from frieze.scalars import as_scalar
 
 
@@ -21,6 +25,24 @@ def _step(x, y, d: Sequence, q: Sequence, k: int) -> Fraction:
     """c(i, k+1) from (c(i, k-1), c(i, k)): (q[k-1] y - d[k] x) / d[k-1], cycles mod m."""
     m = len(d)
     return (q[(k - 1) % m] * y - d[k % m] * x) / d[(k - 1) % m]
+
+
+def fraction_quiddity_bound(boundary: Sequence, min_modulus) -> BoundData:
+    """``quiddity_bound`` in ``Fraction`` arithmetic: B = P^2 (PM + (n-1)P^2 + M) / M^2."""
+    d = [as_scalar(x) for x in boundary]
+    if len(d) < 4 or any(x == 0 for x in d):
+        raise ValueError("quiddity bound needs >= 4 nonzero boundary entries (height n >= 1)")
+    big_m = as_scalar(min_modulus)
+    if big_m <= 0:
+        raise ValueError("the domain's minimal modulus must be positive")
+    big_p = max(abs(x) for x in d)
+    n = len(d) - 3
+    if big_p < 1:
+        raise ValueError(
+            f"quiddity bound needs max boundary modulus >= 1, got {big_p}; "
+            f"rescale the frieze by {1 / big_p} and enumerate the scaled problem")
+    bound = big_p ** 2 * (big_p * big_m + (n - 1) * big_p ** 2 + big_m) / big_m ** 2
+    return BoundData(P=big_p, M=big_m, n=n, B=bound)
 
 
 def _forced_height_zero(d: tuple[Fraction, ...]) -> list[FriezeMap]:

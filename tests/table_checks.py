@@ -59,6 +59,9 @@ def assert_same_table(obj, eager):
     assert obj._ints is ints and obj == eager
     for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         assert twin == obj and twin._ints == ints and hash(twin) == hash(obj)
+    cycle = obj.boundary_sequence  # carries its ints; its copies are plain tuples
+    for twin in (copy.copy(cycle), copy.deepcopy(cycle), pickle.loads(pickle.dumps(cycle))):
+        assert type(twin) is tuple and twin == cycle
 
 
 def assert_canonical(obj):

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import floor, lcm
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import enumeration_oracle as oracle
@@ -13,6 +13,7 @@ from frieze import (DomainSpec, EnumerationBudgetExceeded, FriezeMap, Mat2, buil
                     verify_all_ptolemy)
 from frieze.enumeration import (MAX_NODES, _cap, _integer_problem, _window,
                                 enumeration_summary)
+from frieze.scalars import scalar_to_str
 from table_checks import assert_same_table
 
 NAT = DomainSpec.positive_integers()
@@ -43,6 +44,27 @@ def test_quiddity_bound_rejects_small_boundary():
         quiddity_bound([1, 0, 1, 1], 1)
     with pytest.raises(ValueError, match="height n >= 1"):
         quiddity_bound([2, 3, 5], 1)  # height 0, where B would read -475
+
+
+def _bound_outcome(bound, boundary, modulus):
+    try:
+        data = bound(boundary, modulus)
+    except ValueError as exc:
+        return str(exc)
+    return data, [type(x) for x in data], scalar_to_str(data.B)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.integers(-40, 40) | st.fractions(-40, 40, max_denominator=12),
+                min_size=3, max_size=9),
+       st.integers(-2, 9) | st.fractions(-2, 9, max_denominator=9))
+@example([Fraction(1, 2)] * 4, Fraction(1, 2))
+@example([Fraction(7, 3), Fraction(-5, 2), 1, Fraction(9, 4), 3], Fraction(2, 3))
+def test_int_bound_matches_the_fraction_oracle(boundary, modulus):
+    """``quiddity_bound``'s int arithmetic against its ``Fraction`` form on rational
+    boundaries and moduli: equal P, M, n and B of equal types, or the same refusal."""
+    assert _bound_outcome(quiddity_bound, boundary, modulus) \
+        == _bound_outcome(oracle.fraction_quiddity_bound, boundary, modulus)
 
 
 def test_enumerate_divisor_counts():

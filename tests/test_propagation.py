@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import lcm
 
@@ -10,9 +11,9 @@ import frieze.propagation
 import frieze.triangulation
 from frieze import (TAU, Mat2, accordion, build_pattern, cc_labels_from,
                     closes_to_negative_identity, closure_product, entry_via_product,
-                    enumerate_friezes, eta, frieze_from_triangulation, mu, parse_domain,
-                    scalar_to_str, to_polygon)
-from frieze.core import _cleared
+                    enumerate_friezes, eta, frieze_from_json, frieze_from_triangulation,
+                    grid_from_polygon, mu, parse_domain, scalar_to_str, scale, to_polygon)
+from frieze.core import _cleared, _Cycle
 from frieze.propagation import _cycles, _walk
 from frieze.scalars import as_scalar
 from frieze.triangulation import enumerate_triangulations
@@ -383,6 +384,66 @@ def test_cycles_report_the_first_of_two_faults(boundary, quiddity):
     for clear in (_cycles, build_pattern, closure_product,
                   lambda b, q: entry_via_product(b, q, 0, 1)):
         assert _cycles_outcome(clear, boundary, quiddity) == expected
+
+
+def carried_sources():
+    """Grids and maps from every builder, integer and rational, whose cycles carry their ints."""
+    classic = frieze_from_triangulation(accordion(7, 5)[0])
+    m = classic.m
+    weights = [None, *(Fraction(2 * p + 1, p + 3) for p in range(1, m + 1))]
+    gauged = {(p, q): v * weights[p] * weights[q] for (p, q), v in classic.pairs()}
+    docs = [{"m": m, "entries": {f"{p},{q}": scalar_to_str(v) for (p, q), v in entries}}
+            for entries in (classic.pairs(), gauged.items())]
+    integer, rational = (frieze_from_json(json.loads(json.dumps(doc))) for doc in docs)
+    big = rational._ints[0]
+    assert big > 1 and integer._ints[0] == 1
+    return [
+        classic, integer, rational, grid_from_polygon(integer), grid_from_polygon(rational),
+        build_pattern(*RETURNING_ROWS[1][:2]), build_pattern([2, 3, 1, 1], [0, 1, 2, 0]),
+        frieze_from_triangulation(enumerate_triangulations(9)[17]),
+        *enumerate_friezes([1, 1, 2, 2], parse_domain("nat")),
+        *enumerate_friezes([Fraction(1, 2)] * 5, parse_domain("scaled:1/2")),
+        scale(rational, Fraction(big, 5)), scale(rational, Fraction(3, big)),
+        scale(integer, Fraction(6, 35)),
+    ]
+
+
+def test_carried_cycles_match_the_coerced_ones():
+    """A grid's or a map's cycles carry the ints the two-pass oracle clears them to,
+    and the three entry points read them as they read the same cycles as plain tuples."""
+    for x in carried_sources():
+        b, q = x.boundary_sequence, x.quiddity_cycle
+        assert type(b) is _Cycle and type(q) is _Cycle
+        for cycle in (b, q):
+            big, (ints,) = _cleared(([as_scalar(v) for v in cycle],))
+            assert cycle._ints == (big, tuple(ints))
+        plain = tuple(b), tuple(q)
+        assert _cycles(b, q) == cycles_oracle(*plain)
+        assert build_pattern(b, q) == build_pattern(*plain)
+        cells = [(v, type(v)) for product in (closure_product(b, q), closure_product(*plain))
+                 for v in (product.a11, product.a12, product.a21, product.a22)]
+        assert cells[:4] == cells[4:]
+        m = x.m
+        for i in range(m):
+            for j in range(i - 1, i + m):
+                entry, expected = entry_via_product(b, q, i, j), entry_via_product(*plain, i, j)
+                assert entry == expected and type(entry) is type(expected)
+
+
+def test_mixed_carried_cycles_report_as_the_oracle():
+    """The boundary of one source with the quiddity of another, of another L or another m,
+    and a quiddity cycle holding 0 as the boundary: the oracle's outcome on plain tuples."""
+    sources = carried_sources()
+    outcomes = set()
+    for x in sources:
+        for y in sources:
+            for b in (x.boundary_sequence, x.quiddity_cycle):
+                outcome = _cycles_outcome(_cycles, b, y.quiddity_cycle)
+                assert outcome == _cycles_outcome(cycles_oracle, tuple(b), tuple(y.quiddity_cycle))
+                if outcome[0] is ValueError:
+                    outcomes.add(outcome[1])
+    assert outcomes == {"boundary entries must be nonzero",
+                        "boundary and quiddity must have the same length"}
 
 
 #: Rows that leave the ints with several remainders and come back to whole
